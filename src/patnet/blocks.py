@@ -106,12 +106,13 @@ def gaussian_se_gate(x_u: np.ndarray, p: PatChParams) -> np.ndarray:
 def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray:
     x_p, x_u = channel_split(x, s)
     y_p = conv2d(x_p, p.conv3) if s.c_p > 0 else x_p
-    if s.c_u > 0:
-        gate = gaussian_se_gate(x_u, p)
-        y_u = x_u * gate[:, :, None, None]
-    else:
-        y_u = x_u
-    return channel_concat(y_p, y_u)
+    if s.c_u == 0:
+        return y_p
+    gate = gaussian_se_gate(x_u, p)[:, :, None, None]
+    out = np.empty(x.shape, np.result_type(y_p, x_u, gate))
+    out[:, : s.c_p] = y_p
+    np.multiply(x_u, gate, out=out[:, s.c_p :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,10 @@ def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit) -> np.ndar
     x_p, x_u = channel_split(x, s)
     if s.c_u == 0:
         return x
-    return channel_concat(x_p, x_u * a)
+    out = np.empty(x.shape, np.result_type(x, a))
+    out[:, : s.c_p] = x_p
+    np.multiply(x_u, a, out=out[:, s.c_p :])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,21 @@ def channel_stats_naive(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarr
     return mean, std
 
 
+def gelu_naive(x: np.ndarray) -> np.ndarray:
+    """Exact GELU, 0.5 * x * (1 + erf(x / sqrt 2)), one ``math.erf`` call per
+    element in float64."""
+    flat = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+            for v in np.asarray(x, np.float64).ravel().tolist()]
+    return np.array(flat, np.float64).reshape(np.shape(x))
+
+
+def sigmoid_naive(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) in extended precision."""
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
+        out = 1.0 / (1.0 + np.exp(-np.asarray(x, np.longdouble)))
+    return out.astype(np.float64)
+
+
 def softmax_rows_naive(m: np.ndarray) -> np.ndarray:
     """Row softmax accumulated in extended precision."""
     m2 = m.reshape(-1, m.shape[-1]).astype(np.longdouble)

@@ -83,7 +83,9 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
     if len(blob) < 16:
         raise CrcError(f"file too short ({len(blob)} bytes), corrupt or truncated")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    # a memoryview slice, so the checksum and the payloads copy no bytes
+    view = memoryview(blob)
+    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CrcError("checksum mismatch (file corrupt or truncated)")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
@@ -105,7 +107,7 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
             n = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            payload = blob[off : off + 4 * n]
+            payload = view[off : off + 4 * n]
             if len(payload) != 4 * n:
                 raise CrcError(f"tensor {name}: payload truncated")
             off += 4 * n

@@ -1,11 +1,13 @@
 import statistics
+import time
 
+import numpy as np
 import pytest
 
-from patnet.bench import bench_run
+from patnet.bench import INPUT_SEED, bench_run
 from patnet.config import build_variant
 from patnet.fusion import fuse_model
-from patnet.model import init_params
+from patnet.model import init_params, model_forward
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +48,26 @@ class TestBenchRun:
         assert r_small.images_per_sec > r_large.images_per_sec
 
     def test_fused_not_meaningfully_slower(self, t0):
+        # Fused and unfused forwards alternate inside one loop, the order
+        # swapped every round, and the gate takes the median of the per-pair
+        # ratios: host speed drift and load from other processes then hit
+        # both sides of a pair alike instead of whole runs of one side.
         spec, store = t0
         fused, _ = fuse_model(store, spec)
-        plain, merged = [], []
-        for _ in range(5):
-            plain.append(bench_run(spec, store, batch=1, iters=5,
-                                   warmup=1).p50_latency_ms)
-            merged.append(bench_run(spec, fused, batch=1, iters=5,
-                                    warmup=1).p50_latency_ms)
-        assert statistics.median(merged) <= 1.05 * statistics.median(plain)
+        x = np.random.default_rng(INPUT_SEED).standard_normal(
+            (1, 3, *spec.input_hw), dtype=np.float32)
+
+        def timed(s):
+            t0 = time.perf_counter()
+            model_forward(spec, s, x)
+            return time.perf_counter() - t0
+
+        timed(store), timed(fused)  # warm-up
+        ratios = []
+        for i in range(60):
+            if i % 2:
+                merged, plain = timed(fused), timed(store)
+            else:
+                plain, merged = timed(store), timed(fused)
+            ratios.append(merged / plain)
+        assert statistics.median(ratios) <= 1.05

@@ -17,6 +17,7 @@ from patnet.tensor_ops import (
     conv2d,
     global_avg_pool,
     matmul,
+    sigmoid,
     softmax_rows,
 )
 
@@ -61,6 +62,27 @@ class TestConv2d:
             single = conv2d(x[:, ci : ci + 1],
                             ConvParams(w[ci : ci + 1], padding=1))
             assert np.array_equal(whole[:, ci : ci + 1], single)
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 7)])
+    @pytest.mark.parametrize("groups", [1, 6])
+    def test_3x3_taps_match_naive(self, rng, hw, groups):
+        # 3x3 stride 1 pad 1, dense and depthwise, on extents where most or
+        # all of the off-centre taps fall off the edge
+        x = rand_t4(rng, 2, 6, *hw)
+        w = rng.standard_normal((6, 6 // groups, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(6).astype(np.float32)
+        p = ConvParams(w, b, padding=1, groups=groups)
+        assert np.abs(conv2d(x, p) - ref.conv2d_naive(x, p)).max() <= 1e-5
+
+    @pytest.mark.parametrize("k,hw", [(2, (6, 8)), (2, (7, 5)), (4, (8, 12)),
+                                      (4, (9, 11))])
+    def test_patchify_matches_naive(self, rng, k, hw):
+        # kernel == stride, pad 0; odd extents leave a remainder row/column
+        x = rand_t4(rng, 2, 3, *hw)
+        w = rng.standard_normal((5, 3, k, k)).astype(np.float32)
+        b = rng.standard_normal(5).astype(np.float32)
+        p = ConvParams(w, b, stride=k)
+        assert np.abs(conv2d(x, p) - ref.conv2d_naive(x, p)).max() <= 1e-5
 
     def test_channel_mismatch_names_dimension(self, rng):
         x = rand_t4(rng, 1, 5, 4, 4)
@@ -124,6 +146,27 @@ class TestActivations:
         expected = np.array([0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in x],
                             np.float32)
         assert np.abs(activation(x, "gelu") - expected).max() <= 1e-6
+
+    def test_gelu_matches_float64_oracle(self):
+        x = np.concatenate([np.linspace(-10.0, 10.0, 200_001),
+                            [1e4, -1e4, 0.0]]).astype(np.float32)
+        y = activation(x, "gelu")
+        assert y.dtype == np.float32
+        assert np.abs(y - ref.gelu_naive(x)).max() <= 1e-6
+
+    def test_sigmoid_matches_extended_precision(self):
+        # within two units of the last place of 1.0 in the working dtype
+        for dtype in (np.float32, np.float64):
+            x = np.linspace(-40.0, 40.0, 8001).astype(dtype)
+            y = sigmoid(x)
+            assert y.dtype == dtype
+            assert np.abs(y - ref.sigmoid_naive(x)).max() <= 2 * np.finfo(dtype).eps
+
+    def test_sigmoid_large_magnitude_no_overflow(self):
+        x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], np.float32)
+        with np.errstate(over="raise", invalid="raise"):
+            y = sigmoid(x)
+        assert y.tolist() == [0.0, pytest.approx(0.0, abs=1e-40), 0.5, 1.0, 1.0]
 
     @pytest.mark.parametrize("v,expected", [(-3.0, 0.0), (3.0, 1.0),
                                             (1.5, 0.75), (0.0, 0.5)])
