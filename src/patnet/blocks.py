@@ -11,6 +11,7 @@ counterpart; ``c_p = c_total`` degrades it to the dense convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,8 +100,8 @@ def gaussian_se_gate(x_u: np.ndarray, p: PatChParams) -> np.ndarray:
     if p.se_w1.shape[1] != z.shape[1]:
         raise ShapeError(
             f"se gate: stats width {z.shape[1]} != se_w1 input {p.se_w1.shape[1]}")
-    h = relu(matmul(z, p.se_w1.T) + p.se_b1.astype(z.dtype))
-    return sigmoid(matmul(h, p.se_w2.T) + p.se_b2.astype(z.dtype))
+    h = relu(matmul(z, p.se_w1.T) + p.se_b1.astype(z.dtype, copy=False))
+    return sigmoid(matmul(h, p.se_w2.T) + p.se_b2.astype(z.dtype, copy=False))
 
 
 def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray:
@@ -194,6 +195,11 @@ class PatSfParams:
     def head_dim(self) -> int:
         return self.wq.shape[0] // self.heads
 
+    @cached_property
+    def position_bias(self) -> np.ndarray:
+        """``attention_bias`` of these parameters, computed on first use."""
+        return attention_bias(self)
+
 
 def relative_index_grid(h: int, w: int) -> np.ndarray:
     """(h*w, h*w) matrix of flattened relative-offset bin indices for
@@ -226,22 +232,25 @@ def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray
     d = p.head_dim
     tokens = x_u.reshape(n, c_u, L).transpose(0, 2, 1)  # (n, L, c_u)
     dt = tokens.dtype
-    q = matmul(tokens, p.wq.T.astype(dt)) + p.bq.astype(dt)
-    k = matmul(tokens, p.wk.T.astype(dt)) + p.bk.astype(dt)
-    v = matmul(tokens, p.wv.T.astype(dt)) + p.bv.astype(dt)
+    q = matmul(tokens, p.wq.T.astype(dt, copy=False)) + p.bq.astype(dt, copy=False)
+    k = matmul(tokens, p.wk.T.astype(dt, copy=False)) + p.bk.astype(dt, copy=False)
+    v = matmul(tokens, p.wv.T.astype(dt, copy=False)) + p.bv.astype(dt, copy=False)
 
     def heads_view(m):  # (n, L, c_u) -> (n, heads, L, d)
         return m.reshape(n, L, p.heads, d).transpose(0, 2, 1, 3)
 
     qh, kh, vh = heads_view(q), heads_view(k), heads_view(v)
     logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) / np.sqrt(d).astype(dt)
-    logits = logits + attention_bias(p).astype(dt)[None]
+    logits += p.position_bias.astype(dt, copy=False)
     attn = softmax_rows(logits)
     ctx = np.matmul(attn, vh)  # (n, heads, L, d)
     ctx = ctx.transpose(0, 2, 1, 3).reshape(n, L, c_u)
-    out = matmul(ctx, p.wo.T.astype(dt)) + p.bo.astype(dt)
-    y_u = out.transpose(0, 2, 1).reshape(n, c_u, h, w)
-    return channel_concat(y_p, np.ascontiguousarray(y_u))
+    y_u = matmul(ctx, p.wo.T.astype(dt, copy=False)) + p.bo.astype(dt, copy=False)
+    # both branches go straight into one output buffer, no concat copy
+    out = np.empty(x.shape, np.result_type(y_p, y_u))
+    out[:, : s.c_p] = y_p
+    out[:, s.c_p :] = y_u.transpose(0, 2, 1).reshape(n, c_u, h, w)
+    return out
 
 
 # ---------------------------------------------------------------------------

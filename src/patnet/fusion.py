@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .config import ModelSpec, iter_param_schema
-from .model import BN_EPS, ParamStore
+from .model import ParamStore, _bn_from
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 PROBE_SEED = 0x5EED
@@ -68,11 +68,6 @@ def merge_patsp(mlp_conv2: ConvParams, map_conv: ConvParams) -> ConvParams:
     weight = np.concatenate([w2, (mw @ w2)[None, :]], axis=0).astype(np.float32)
     bias = np.concatenate([b2, [mw @ b2 + mb]]).astype(np.float32)
     return ConvParams(weight.reshape(c + 1, mlp_conv2.in_ch, 1, 1), bias)
-
-
-def _bn_from(store: ParamStore, name: str) -> BnParams:
-    return BnParams(store[f"{name}.gamma"], store[f"{name}.beta"],
-                    store[f"{name}.mean"], store[f"{name}.var"], BN_EPS)
 
 
 def _probe_conv_bn(rng, conv: ConvParams, bn: BnParams, fused: ConvParams) -> float:

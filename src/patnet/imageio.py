@@ -48,10 +48,16 @@ def load_ppm(path) -> np.ndarray:
     if magic != b"P6":
         raise ImageFormatError(f"not a binary P6 file (magic {magic!r})")
     fields = []
-    for _ in range(3):
+    for what in ("width", "height", "maxval"):
         tok, pos = _read_token(blob, pos)
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise ImageFormatError(
+                f"PPM {what} {tok[:16]!r} is not a decimal number") from None
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"empty image ({width}x{height})")
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval}, expected 255")
     if pos >= len(blob) or not blob[pos : pos + 1].isspace():

@@ -24,6 +24,7 @@ float32 it is within 1e-6 of the exact function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,6 +87,16 @@ class ConvParams:
     def kw(self) -> int:
         return self.weight.shape[3]
 
+    @cached_property
+    def taps_weight(self) -> np.ndarray:
+        """3x3 weight in the (groups, 9 * out / groups, in / groups) tap-major
+        layout of ``_conv3x3_taps``; one copy, made on first use, so
+        ``weight`` must not be changed in place afterwards."""
+        g = self.groups
+        og, cg = self.out_ch // g, self.weight.shape[1]
+        taps = self.weight.reshape(g, og, cg, 9).transpose(0, 3, 1, 2)
+        return taps.reshape(g, 9 * og, cg)
+
 
 @dataclass(frozen=True)
 class BnParams:
@@ -141,7 +152,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     else:
         out = _conv_im2col(x, p, oh, ow)
     if p.bias is not None:
-        out += p.bias.reshape(1, -1, 1, 1).astype(out.dtype)
+        out += p.bias.reshape(1, -1, 1, 1).astype(out.dtype, copy=False)
     return out
 
 
@@ -153,16 +164,26 @@ def _conv3x3_taps(x: np.ndarray, p: ConvParams) -> np.ndarray:
     n, c, h, w = x.shape
     g = p.groups
     cg, og = c // g, p.out_ch // g
-    wt = p.weight.reshape(g, og, cg, 9).transpose(0, 3, 1, 2).reshape(g, 9 * og, cg)
-    taps = np.matmul(wt, x.reshape(n, g, cg, h * w)).reshape(n, g, 9, og, h, w)
+    taps = np.matmul(p.taps_weight, x.reshape(n, g, cg, h * w)).reshape(n, g, 9, og, h, w)
     out = taps[:, :, 4].copy()
+    for out_idx, tap_idx in _tap_overlaps(h, w):
+        o = out[out_idx]
+        np.add(o, taps[tap_idx], out=o)
+    return out.reshape(n, p.out_ch, h, w)
+
+
+@lru_cache(maxsize=32)
+def _tap_overlaps(h: int, w: int) -> tuple:
+    """(output index, tap-image index) of each off-centre 3x3 tap over its
+    valid overlap at extent h x w, in tap order."""
+    spans = []
     for t in (0, 1, 2, 3, 5, 6, 7, 8):
         dy, dx = t // 3 - 1, t % 3 - 1
         # output rows y read tap rows y + dy; keep both inside [0, h)
         oy, ox = slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))
         iy, ix = slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx))
-        out[..., oy, ox] += taps[:, :, t, :, iy, ix]
-    return out.reshape(n, p.out_ch, h, w)
+        spans.append(((..., oy, ox), (slice(None), slice(None), t, slice(None), iy, ix)))
+    return tuple(spans)
 
 
 def _conv_patchify(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
@@ -204,8 +225,8 @@ def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
     if x.shape[1] != p.channels:
         raise ShapeError(
             f"batch_norm: input channels {x.shape[1]} != param length {p.channels}")
-    scale = (p.gamma / np.sqrt(p.running_var + p.eps)).astype(x.dtype)
-    shift = (p.beta - p.running_mean * scale).astype(x.dtype)
+    scale = (p.gamma / np.sqrt(p.running_var + p.eps)).astype(x.dtype, copy=False)
+    shift = (p.beta - p.running_mean * scale).astype(x.dtype, copy=False)
     return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
 
 
@@ -251,7 +272,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def hard_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.clip((x + 3.0) / 6.0, 0.0, 1.0).astype(x.dtype)
+    return np.clip((x + 3.0) / 6.0, 0.0, 1.0).astype(x.dtype, copy=False)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -287,7 +308,7 @@ def channel_stats(x: np.ndarray, eps: float = EPS_STAT) -> tuple[np.ndarray, np.
     mean = x.mean(axis=(2, 3))
     var = x.var(axis=(2, 3))
     std = np.sqrt(var + eps, dtype=x.dtype)
-    return mean.astype(x.dtype), std
+    return mean.astype(x.dtype, copy=False), std
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

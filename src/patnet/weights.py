@@ -15,6 +15,7 @@ holds.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -98,7 +99,10 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", blob, off)
             off += 2
-            name = blob[off : off + nlen].decode("utf-8")
+            try:
+                name = blob[off : off + nlen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise WeightFileError(f"tensor name at byte {off} is not UTF-8") from exc
             off += nlen
             dtype, ndim = struct.unpack_from("<BB", blob, off)
             off += 2
@@ -106,12 +110,15 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
                 raise WeightFileError(f"tensor {name}: unsupported dtype {dtype}")
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
-            n = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            payload = view[off : off + 4 * n]
-            if len(payload) != 4 * n:
+            n = math.prod(dims)  # exact: a fixed-width product could wrap
+            if 4 * n > end - off:
                 raise CrcError(f"tensor {name}: payload truncated")
+            payload = view[off : off + 4 * n]
             off += 4 * n
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            except ValueError as exc:  # over 64 dims, or an empty but too-large shape
+                raise WeightFileError(f"tensor {name}: unusable shape {dims}") from exc
     except struct.error as exc:
         raise CrcError(f"file truncated while parsing: {exc}") from exc
     if off != end:

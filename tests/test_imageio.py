@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patnet.imageio import (
     IMAGENET_MEAN,
@@ -63,6 +65,18 @@ class TestLoadPpm:
         p = tmp_path / "t.ppm"
         p.write_bytes(b"P6\n4 4\n255\n\x00\x00")
         with pytest.raises(ImageFormatError, match="truncated"):
+            load_ppm(p)
+
+    def test_non_numeric_header_field(self, tmp_path):
+        p = tmp_path / "n.ppm"
+        p.write_bytes(b"P6\nabc 1\n255\n\x00\x00\x00")
+        with pytest.raises(ImageFormatError, match="width"):
+            load_ppm(p)
+
+    def test_zero_extent_rejected(self, tmp_path):
+        p = tmp_path / "z.ppm"
+        p.write_bytes(b"P6 0 0 255\n")
+        with pytest.raises(ImageFormatError, match="empty"):
             load_ppm(p)
 
     def test_save_load_round_trip(self, tmp_path, rng):
@@ -129,3 +143,56 @@ class TestPreprocess:
         out = preprocess(img)
         hot = np.unravel_index(np.argmax(out[0, 0]), out[0, 0].shape)
         assert abs(hot[0] - 112) <= 2 and abs(hot[1] - 112) <= 2
+
+
+def ppm_bytes(width, height, pixels: bytes) -> bytes:
+    return f"P6\n{width} {height}\n255\n".encode() + pixels
+
+
+small_ppms = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda wh: st.binary(min_size=3 * wh[0] * wh[1], max_size=3 * wh[0] * wh[1])
+    .map(lambda px: ppm_bytes(*wh, px)))
+
+header_fields = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.text(alphabet="0123456789+-_ abc#\n", max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.ppm"
+
+
+def load_or_typed_error(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        img = load_ppm(path)
+    except ImageFormatError:
+        return
+    assert img.shape[:2] == (1, 3) and min(img.shape[2:]) >= 1
+
+
+class TestFuzz:
+    """Hostile files fail with an ImageFormatError and nothing else."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ppms, st.data())
+    def test_truncation(self, fuzz_path, blob, data):
+        fuzz_path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(ImageFormatError):
+            load_ppm(fuzz_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ppms, st.data())
+    def test_bit_flip(self, fuzz_path, blob, data):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        load_or_typed_error(fuzz_path, bytes(flipped))
+
+    @settings(max_examples=60, deadline=None)
+    @given(header_fields, header_fields, header_fields, st.binary(max_size=64))
+    def test_absurd_header(self, fuzz_path, width, height, maxval, pixels):
+        head = f"P6\n{width} {height}\n{maxval}\n".encode()
+        load_or_typed_error(fuzz_path, head + pixels)

@@ -1,17 +1,31 @@
 import dataclasses
+import platform
+import resource
 
 import numpy as np
 import pytest
 
+from patnet import blocks
+from patnet import model as model_mod
+from patnet import tensor_ops
 from patnet.config import (
     ABLATION_MODES,
+    VARIANT_TABLE,
     VariantConfig,
     build_ablation,
     build_spec,
     build_variant,
     iter_param_schema,
 )
-from patnet.model import ParamStore, init_params, model_forward
+from patnet.counting import count_flops
+from patnet.fusion import fuse_model
+from patnet.model import (
+    ParamStore,
+    block_forward,
+    build_plan,
+    init_params,
+    model_forward,
+)
 from patnet.tensor_ops import BnParams, ShapeError, batch_norm_infer
 
 from conftest import rand_t4
@@ -223,3 +237,98 @@ class TestAblations:
         store = init_params(spec, seed=2)
         y = model_forward(spec, store, rand_t4(rng, 1, 3, 32, 32))
         assert y.shape == (1, 1000) and np.isfinite(y).all()
+
+
+def shape_store(spec, fused):
+    """Zero-stride tensors with the schema's shapes: enough to lower a plan
+    without allocating the weights of the large variants."""
+    return ParamStore(tensors={d.name: np.broadcast_to(np.float32(0), d.shape)
+                               for d in iter_param_schema(spec, fused)}, fused=fused)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("variant", list(VARIANT_TABLE))
+    def test_op_macs_sum_to_count_flops(self, variant):
+        base = build_variant(variant)
+        for mode in (None, *ABLATION_MODES):
+            spec = base if mode is None else build_ablation(base, mode)
+            for fused in (False, True):
+                plan = build_plan(spec, shape_store(spec, fused))
+                assert plan.macs == count_flops(spec, spec.input_hw, fused), (mode, fused)
+                assert len({op.name for op in plan.ops}) == len(plan.ops)
+
+    def test_built_once_per_store(self, rng, monkeypatch):
+        spec = tiny_spec()
+        store = init_params(spec, seed=5)
+        builds, biases = [], []
+        monkeypatch.setattr(model_mod, "build_plan",
+                            lambda *a: builds.append(a) or build_plan(*a))
+        real_bias = blocks.attention_bias
+        monkeypatch.setattr(blocks, "attention_bias",
+                            lambda p: biases.append(p) or real_bias(p))
+        x = rand_t4(rng, 1, 3, 32, 32)
+        y1 = model_forward(spec, store, x)
+        plan = store.plan
+        y2 = model_forward(spec, store, x)
+        assert len(builds) == 1 and store.plan is plan
+        assert len(biases) == 1  # one pat_sf block, its bias made once
+        assert y1.tobytes() == y2.tobytes()
+
+        other = ParamStore(tensors=store.tensors)
+        assert model_forward(spec, other, x).tobytes() == y1.tobytes()
+        assert len(builds) == 2 and other.plan is not plan
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_kernel_wrappers_bound_after_build_see_every_call(self, rng, monkeypatch,
+                                                               fused):
+        # The per-layer tracer rebinds these module attributes after set-up;
+        # a plan that kept references from its build would hide calls from it.
+        spec = tiny_spec()
+        store = init_params(spec, seed=5)
+        if fused:
+            store, _ = fuse_model(store, spec)
+        x = rand_t4(rng, 1, 3, 32, 32)
+        model_forward(spec, store, x)
+
+        calls = {"conv2d": 0, "activation": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod, name in ((tensor_ops, "conv2d"), (blocks, "conv2d"),
+                          (tensor_ops, "activation")):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        model_forward(spec, store, x)
+        # embed and 3 merges; per block (4) the mixer's 3x3 conv, both MLP
+        # convs and, unless merged into the second, the gate-map conv; one
+        # activation per MLP and one in the head
+        assert calls == {"conv2d": 4 + 4 * (3 if fused else 4), "activation": 4 + 1}
+
+    def test_residual_never_writes_into_the_block_input(self, rng):
+        # a pconv mixer without conv channels returns a view of its input
+        spec = tiny_spec()
+        for mode in ("no_patsf", "full_ch", "no_patch"):
+            spec = build_ablation(spec, mode)
+        b = spec.stages[3][0]
+        assert b.mixer == "pconv" and b.mixer_cp == 0 and b.double_residual
+        store = init_params(spec, seed=3)
+        h = rand_t4(rng, 1, b.channels, 1, 1)
+        before = h.copy()
+        block_forward(h, store, "stage4.block0", b, "gelu", spec.final_hw)
+        assert np.array_equal(h, before)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_forward_reuses_the_heap_it_freed(self, rng):
+        spec = build_variant("T0")
+        store = init_params(spec, seed=0)
+        x = rand_t4(rng, 1, 3, 224, 224)
+        model_forward(spec, store, x)
+        model_forward(spec, store, x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model_forward(spec, store, x)
+        # about 800 when the heap is handed back after every forward
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

@@ -1,8 +1,11 @@
+import math
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patnet.fusion import fuse_model
 from patnet.model import ParamStore, init_params
@@ -11,6 +14,7 @@ from patnet.weights import (
     CrcError,
     NameSetError,
     VersionError,
+    WeightFileError,
     deserialize_store,
     expected_file_size,
     load_weights,
@@ -19,6 +23,17 @@ from patnet.weights import (
 )
 
 from test_model import tiny_spec
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def one_tensor_blob(name: bytes, dims, payload: bytes = b"") -> bytes:
+    """A one-tensor file with a valid checksum and arbitrary header fields."""
+    return with_crc(b"PATW" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name))
+                    + name + struct.pack("<BB", 0, len(dims))
+                    + struct.pack(f"<{len(dims)}I", *dims) + payload)
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +139,78 @@ class TestLoadErrors:
         with pytest.raises(NameSetError, match="bogus"):
             load_weights(path, spec=spec)
 
+    def test_non_utf8_name_is_weight_file_error(self):
+        with pytest.raises(WeightFileError, match="UTF-8"):
+            deserialize_store(one_tensor_blob(b"\xff\xfe", (1,), b"\0" * 4))
+
+    def test_dims_whose_product_wraps_int64_are_rejected(self):
+        # 65536**4 == 2**64 wraps to an element count of 0 in int64
+        with pytest.raises(CrcError, match="truncated"):
+            deserialize_store(one_tensor_blob(b"a", (65536,) * 4))
+
+    def test_empty_but_oversized_shape_is_weight_file_error(self):
+        with pytest.raises(WeightFileError, match="shape"):
+            deserialize_store(one_tensor_blob(b"a", (0, 2**32 - 1, 2**32 - 1)))
+
     def test_non_model_names_rejected_without_spec(self, tmp_path):
         path = tmp_path / "x.patw"
         path.write_bytes(self.make_blob())
         with pytest.raises(NameSetError):
             load_weights(path)
+
+
+# Small stores: up to three tensors, arbitrary Unicode names, up to 3 dims of
+# up to 3 elements each.
+small_stores = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    min_size=1, max_size=3,
+).map(lambda shapes: ParamStore(tensors={
+    name: np.arange(math.prod(shape), dtype=np.float32).reshape(shape)
+    for name, shape in shapes.items()}))
+
+u32s = st.one_of(st.sampled_from([0, 1, 65536, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+
+
+def parse_or_typed_error(blob: bytes) -> None:
+    try:
+        deserialize_store(blob)
+    except WeightFileError:
+        pass
+
+
+class TestFuzz:
+    """Hostile files fail with a WeightFileError and nothing else."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_stores, st.data())
+    def test_truncation(self, store, data):
+        blob = serialize_store(store)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(WeightFileError):
+            deserialize_store(blob[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_stores, st.data(), st.booleans())
+    def test_bit_flip(self, store, data, fix_crc):
+        blob = bytearray(serialize_store(store))
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        if not fix_crc:
+            with pytest.raises(WeightFileError):  # CRC-32 sees every 1-bit error
+                deserialize_store(bytes(blob))
+        else:
+            parse_or_typed_error(with_crc(bytes(blob[:-4])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_stores, u32s, st.integers(0, 255), st.lists(u32s, max_size=8))
+    def test_absurd_count_ndim_and_dims(self, store, count, ndim, dims):
+        body = serialize_store(store)[:-4]
+        name_len = struct.unpack_from("<H", body, 12)[0]
+        ndim_at = 12 + 2 + name_len + 1
+        old_ndim = body[ndim_at]
+        header = b"PATW" + struct.pack("<II", 1, count) + body[12:ndim_at]
+        rest = body[ndim_at + 1 + 4 * old_ndim :]
+        parse_or_typed_error(with_crc(header + bytes([ndim])
+                                      + struct.pack(f"<{len(dims)}I", *dims) + rest))
