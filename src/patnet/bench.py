@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelSpec
 from .model import ParamStore, model_forward
+from .tensor_ops import thread_config
 
 INPUT_SEED = 0xBEC4
 
@@ -20,7 +20,9 @@ class BenchReport:
     batch_size: int
     warmup_iters: int
     measured_iters: int
-    threads: int
+    engine_workers: int  # threads a batched forward's kernels split across
+    blas_threads_batch1: int | None  # None where OpenBLAS cannot be queried
+    blas_threads_batched: int | None
     images_per_sec: float
     mean_latency_ms: float
     p50_latency_ms: float
@@ -28,12 +30,10 @@ class BenchReport:
 
 
 def bench_run(spec: ModelSpec, store: ParamStore, batch: int, iters: int,
-              warmup: int, threads: int = 1) -> BenchReport:
-    """Time ``iters`` steady-state forwards of one deterministic batch.
-
-    With ``threads`` > 1 every iteration fans the same forward across that
-    many workers on the shared immutable store; latencies are per forward.
-    """
+              warmup: int) -> BenchReport:
+    """Time ``iters`` steady-state forwards of one deterministic batch, one
+    at a time: a forward already runs on every core it can use, so forwards
+    run side by side would only compete for them."""
     if iters < 1:
         raise ValueError("iters must be at least 1")
     rng = np.random.default_rng(INPUT_SEED)
@@ -48,27 +48,18 @@ def bench_run(spec: ModelSpec, store: ParamStore, batch: int, iters: int,
     for _ in range(warmup):
         one_forward()
 
-    latencies: list[float] = []
     t_start = time.perf_counter()
-    if threads <= 1:
-        for _ in range(iters):
-            latencies.append(one_forward())
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in range(iters):
-                futs = [pool.submit(one_forward) for _ in range(threads)]
-                latencies.extend(f.result() for f in futs)
+    latencies = [one_forward() for _ in range(iters)]
     elapsed = time.perf_counter() - t_start
 
     lat = np.sort(np.asarray(latencies))
-    images = iters * batch * max(threads, 1)
     return BenchReport(
         variant=spec.label or spec.config.name,
         batch_size=batch,
         warmup_iters=warmup,
         measured_iters=iters,
-        threads=max(threads, 1),
-        images_per_sec=images / elapsed,
+        **thread_config(),
+        images_per_sec=iters * batch / elapsed,
         mean_latency_ms=float(lat.mean()),
         p50_latency_ms=float(np.percentile(lat, 50)),
         p95_latency_ms=float(np.percentile(lat, 95)),

@@ -18,6 +18,8 @@ import numpy as np
 from .tensor_ops import (
     ConvParams,
     ShapeError,
+    _over_batch,
+    _softmax_in_place,
     channel_stats,
     check_tensor4,
     conv2d,
@@ -25,7 +27,6 @@ from .tensor_ops import (
     matmul,
     relu,
     sigmoid,
-    softmax_rows,
 )
 
 
@@ -111,8 +112,12 @@ def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray
         return y_p
     gate = gaussian_se_gate(x_u, p)[:, :, None, None]
     out = np.empty(x.shape, np.result_type(y_p, x_u, gate))
-    out[:, : s.c_p] = y_p
-    np.multiply(x_u, gate, out=out[:, s.c_p :])
+
+    def part(lo, hi):
+        out[lo:hi, : s.c_p] = y_p[lo:hi]
+        np.multiply(x_u[lo:hi], gate[lo:hi], out=out[lo:hi, s.c_p :])
+
+    _over_batch(part, len(x))
     return out
 
 
@@ -146,8 +151,12 @@ def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit) -> np.ndar
     if s.c_u == 0:
         return x
     out = np.empty(x.shape, np.result_type(x, a))
-    out[:, : s.c_p] = x_p
-    np.multiply(x_u, a, out=out[:, s.c_p :])
+
+    def part(lo, hi):
+        out[lo:hi, : s.c_p] = x_p[lo:hi]
+        np.multiply(x_u[lo:hi], a[lo:hi], out=out[lo:hi, s.c_p :])
+
+    _over_batch(part, len(x))
     return out
 
 
@@ -228,29 +237,45 @@ def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray
     if c_u == 0:
         return y_p
 
-    L = h * w
-    d = p.head_dim
+    dt = x_u.dtype
+    weights = [m.astype(dt, copy=False)
+               for m in (p.wq.T, p.bq, p.wk.T, p.bk, p.wv.T, p.bv, p.wo.T, p.bo)]
+    bias = p.position_bias.astype(dt, copy=False)
+    # both branches go straight into one output buffer, no concat copy
+    out = np.empty(x.shape, np.result_type(y_p, x_u))
+
+    def part(lo, hi):
+        out[lo:hi, : s.c_p] = y_p[lo:hi]
+        _attend(x_u[lo:hi], weights, bias, p.heads, out[lo:hi, s.c_p :])
+
+    _over_batch(part, n)
+    return out
+
+
+def _attend(x_u: np.ndarray, weights: list, bias: np.ndarray, heads: int,
+            out: np.ndarray) -> None:
+    """Multi-head attention over the h * w tokens of ``x_u`` into ``out``;
+    ``weights`` are the transposed projections and their biases, in q, k, v,
+    output order, ``bias`` the (heads, L, L) position bias."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    n, c_u, h, w = x_u.shape
+    L, d = h * w, c_u // heads
+    dt = x_u.dtype
     tokens = x_u.reshape(n, c_u, L).transpose(0, 2, 1)  # (n, L, c_u)
-    dt = tokens.dtype
-    q = matmul(tokens, p.wq.T.astype(dt, copy=False)) + p.bq.astype(dt, copy=False)
-    k = matmul(tokens, p.wk.T.astype(dt, copy=False)) + p.bk.astype(dt, copy=False)
-    v = matmul(tokens, p.wv.T.astype(dt, copy=False)) + p.bv.astype(dt, copy=False)
 
     def heads_view(m):  # (n, L, c_u) -> (n, heads, L, d)
-        return m.reshape(n, L, p.heads, d).transpose(0, 2, 1, 3)
+        return m.reshape(n, L, heads, d).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = heads_view(q), heads_view(k), heads_view(v)
+    qh, kh, vh = (heads_view(np.matmul(tokens, wm) + bm)
+                  for wm, bm in ((wq, bq), (wk, bk), (wv, bv)))
     logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) / np.sqrt(d).astype(dt)
-    logits += p.position_bias.astype(dt, copy=False)
-    attn = softmax_rows(logits)
+    logits += bias
+    logits -= logits.max(axis=-1, keepdims=True)
+    attn = _softmax_in_place(logits)
     ctx = np.matmul(attn, vh)  # (n, heads, L, d)
     ctx = ctx.transpose(0, 2, 1, 3).reshape(n, L, c_u)
-    y_u = matmul(ctx, p.wo.T.astype(dt, copy=False)) + p.bo.astype(dt, copy=False)
-    # both branches go straight into one output buffer, no concat copy
-    out = np.empty(x.shape, np.result_type(y_p, y_u))
-    out[:, : s.c_p] = y_p
-    out[:, s.c_p :] = y_u.transpose(0, 2, 1).reshape(n, c_u, h, w)
-    return out
+    y_u = np.matmul(ctx, wo) + bo
+    out[:] = y_u.transpose(0, 2, 1).reshape(n, c_u, h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--fused", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -147,14 +146,16 @@ def _cmd_bench(args) -> int:
     store = init_params(spec, args.seed)
     if args.fused:
         store, _ = fuse_model(store, spec)
-    report = bench_run(spec, store, args.batch, args.iters, args.warmup,
-                       args.threads)
+    report = bench_run(spec, store, args.batch, args.iters, args.warmup)
     if args.json:
         print(json.dumps(dataclasses.asdict(report)))
     else:
         print(f"variant          {report.variant}{' (fused)' if args.fused else ''}")
         print(f"batch x iters    {report.batch_size} x {report.measured_iters} "
-              f"(+{report.warmup_iters} warmup), {report.threads} thread(s)")
+              f"(+{report.warmup_iters} warmup)")
+        print(f"threads          {report.engine_workers} engine worker(s); BLAS "
+              f"{report.blas_threads_batch1} at batch 1, "
+              f"{report.blas_threads_batched} at batch > 1")
         print(f"images/sec       {report.images_per_sec:10.2f}")
         print(f"latency ms       mean {report.mean_latency_ms:.2f}  "
               f"p50 {report.p50_latency_ms:.2f}  p95 {report.p95_latency_ms:.2f}")

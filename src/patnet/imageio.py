@@ -71,24 +71,39 @@ def load_ppm(path) -> np.ndarray:
     return chw[None]
 
 
-def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resampling of an (n, c, h, w) tensor."""
+def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
+                    crop: int | None = None) -> np.ndarray:
+    """Half-pixel-center bilinear resampling of an (n, c, h, w) tensor.
+
+    With ``crop``, only the centered crop x crop window of the out_h x out_w
+    result is computed and returned, bitwise equal to
+    ``center_crop(bilinear_resize(x, out_h, out_w), crop)`` but in memory
+    bounded by the window, not by the resized image, which a thin input
+    makes arbitrarily large.
+    """
     n, c, h, w = x.shape
     if out_h < 1 or out_w < 1:
         raise ShapeError("resize target must be at least 1x1")
+    rows, cols = (0, out_h), (0, out_w)
+    if crop is not None:
+        if out_h < crop or out_w < crop:
+            raise ShapeError(f"image {out_h}x{out_w} smaller than crop {crop}")
+        top, left = (out_h - crop) // 2, (out_w - crop) // 2
+        rows, cols = (top, top + crop), (left, left + crop)
 
-    def axis_coords(out_n, in_n):
-        src = (np.arange(out_n, dtype=np.float64) + 0.5) * (in_n / out_n) - 0.5
+    def axis_coords(span, out_n, in_n):
+        src = (np.arange(*span, dtype=np.float64) + 0.5) * (in_n / out_n) - 0.5
         src = np.clip(src, 0.0, in_n - 1)
         lo = np.floor(src).astype(np.int64)
         hi = np.minimum(lo + 1, in_n - 1)
         frac = (src - lo).astype(np.float32)
         return lo, hi, frac
 
-    y0, y1, fy = axis_coords(out_h, h)
-    x0, x1, fx = axis_coords(out_w, w)
-    top = x[:, :, y0][:, :, :, x0] * (1 - fx) + x[:, :, y0][:, :, :, x1] * fx
-    bot = x[:, :, y1][:, :, :, x0] * (1 - fx) + x[:, :, y1][:, :, :, x1] * fx
+    y0, y1, fy = axis_coords(rows, out_h, h)
+    x0, x1, fx = axis_coords(cols, out_w, w)
+    y0, y1 = y0[:, None], y1[:, None]  # gather rows and columns in one step
+    top = x[:, :, y0, x0] * (1 - fx) + x[:, :, y0, x1] * fx
+    bot = x[:, :, y1, x0] * (1 - fx) + x[:, :, y1, x1] * fx
     out = top * (1 - fy)[None, None, :, None] + bot * fy[None, None, :, None]
     return out.astype(x.dtype)
 
@@ -110,8 +125,7 @@ def preprocess(img: np.ndarray, crop: int = 224) -> np.ndarray:
         out_h, out_w = short, max(1, round(w * short / h))
     else:
         out_h, out_w = max(1, round(h * short / w)), short
-    resized = bilinear_resize(img, out_h, out_w)
-    cropped = center_crop(resized, crop)
+    cropped = bilinear_resize(img, out_h, out_w, crop)
     return ((cropped - IMAGENET_MEAN[None, :, None, None])
             / IMAGENET_STD[None, :, None, None]).astype(np.float32)
 

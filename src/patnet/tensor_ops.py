@@ -19,10 +19,25 @@ oracles live in ``patnet.reference``.
 GELU is the erf form, not the tanh approximation, with erfc from the
 Abramowitz & Stegun 7.1.26 fit (absolute error of erfc at most 1.5e-7); in
 float32 it is within 1e-6 of the exact function.
+
+Inside a batched forward (``model_forward`` arms it through
+``_split_batches``), the convolutions, ReLU, GELU, batch norm and channel
+statistics, and the block and residual code that calls ``_over_batch``, split
+their work into contiguous batch slices run on a pool of one thread per CPU,
+the calling thread taking the last slice, while numpy's OpenBLAS is pinned to
+one thread. Every slice writes its part of an output allocated before the
+split and runs exactly the per-image arithmetic of the whole-batch kernel, so
+results are bitwise identical either way. Only private helpers and raw numpy
+run on the pool threads, never a public function of this package.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -145,65 +160,89 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
             f"conv2d: padded input {h + 2 * p.padding}x{w + 2 * p.padding} "
             f"admits no {p.kh}x{p.kw} window at stride {p.stride}")
 
+    out = np.empty((n, p.out_ch, oh, ow), np.result_type(p.weight, x))
     if p.kh == p.kw == 3 and p.stride == 1 and p.padding == 1:
-        out = _conv3x3_taps(x, p)
+        weight, adds = p.taps_weight, _tap_adds(h, w)
+        kernel = lambda lo, hi: _conv3x3_taps(x[lo:hi], weight, adds, out[lo:hi])
     elif p.kh == p.kw == p.stride and p.padding == 0 and p.groups == 1:
-        out = _conv_patchify(x, p, oh, ow)
+        kernel = lambda lo, hi: _conv_patchify(x[lo:hi], p, out[lo:hi])
     else:
-        out = _conv_im2col(x, p, oh, ow)
-    if p.bias is not None:
-        out += p.bias.reshape(1, -1, 1, 1).astype(out.dtype, copy=False)
+        kernel = lambda lo, hi: _conv_im2col(x[lo:hi], p, out[lo:hi])
+    bias = (None if p.bias is None
+            else p.bias.reshape(1, -1, 1, 1).astype(out.dtype, copy=False))
+
+    def part(lo, hi):
+        kernel(lo, hi)
+        if bias is not None:
+            out[lo:hi] += bias
+
+    _over_batch(part, n)
     return out
 
 
-def _conv3x3_taps(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """3x3, stride 1, pad 1: one GEMM of the (9 * out, in) tap-major weights
-    against the unpadded input yields all nine tap images, then the eight
-    off-centre taps are added into the centre one over their valid overlap,
-    which is exactly the zero-padded result without a padded copy."""
+def _conv3x3_taps(x: np.ndarray, weight: np.ndarray, adds: tuple,
+                  out: np.ndarray) -> None:
+    """3x3, stride 1, pad 1, into ``out``: one GEMM of the (9 * out, in)
+    tap-major ``weight`` against the unpadded input yields all nine tap
+    images, then the eight off-centre taps ``adds`` lists are added into the
+    centre one over their valid overlap, which is exactly the zero-padded
+    result without a padded copy."""
     n, c, h, w = x.shape
-    g = p.groups
-    cg, og = c // g, p.out_ch // g
-    taps = np.matmul(p.taps_weight, x.reshape(n, g, cg, h * w)).reshape(n, g, 9, og, h, w)
-    out = taps[:, :, 4].copy()
-    for out_idx, tap_idx in _tap_overlaps(h, w):
-        o = out[out_idx]
-        np.add(o, taps[tap_idx], out=o)
-    return out.reshape(n, p.out_ch, h, w)
+    g, nine_og, cg = weight.shape
+    og = nine_og // 9
+    taps = np.matmul(weight, x.reshape(n, g, cg, h * w)).reshape(n, g, 9, og, h * w)
+    o = out.reshape(n, g, og, h * w)
+    np.copyto(o, taps[:, :, 4])
+    for t, dead, a, b, off in adds:
+        tap = taps[:, :, t]
+        if dead is not None:
+            tap.reshape(n, g, og, h, w)[..., dead] = 0
+        np.add(o[..., a:b], tap[..., a + off : b + off], out=o[..., a:b])
 
 
 @lru_cache(maxsize=32)
-def _tap_overlaps(h: int, w: int) -> tuple:
-    """(output index, tap-image index) of each off-centre 3x3 tap over its
-    valid overlap at extent h x w, in tap order."""
-    spans = []
+def _tap_adds(h: int, w: int) -> tuple:
+    """(tap, dead column, start, stop, offset) of each off-centre 3x3 tap at
+    extent h x w, in tap order.
+
+    Output position p of a flattened h * w image reads tap position
+    p + dy * w + dx, so each tap is one add over the flat range
+    [start, stop) of p. Where that range crosses a row end, the read wraps
+    to the tap's column that its dx never reads legitimately (column 0 for
+    dx = +1, w - 1 for dx = -1); zeroing that dead column first makes each
+    wrapped read add +0. Taps with nothing to add are left out.
+    """
+    adds = []
     for t in (0, 1, 2, 3, 5, 6, 7, 8):
         dy, dx = t // 3 - 1, t % 3 - 1
-        # output rows y read tap rows y + dy; keep both inside [0, h)
-        oy, ox = slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))
-        iy, ix = slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx))
-        spans.append(((..., oy, ox), (slice(None), slice(None), t, slice(None), iy, ix)))
-    return tuple(spans)
+        off = dy * w + dx
+        start, stop = max(0, -off), h * w - max(0, off)
+        if stop > start:
+            adds.append((t, {1: 0, 0: None, -1: w - 1}[dx], start, stop, off))
+    return tuple(adds)
 
 
-def _conv_patchify(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
-    """Kernel == stride, no padding: the windows tile the input, so one
-    reshape/transpose copy turns them into (in * k * k, oh * ow) columns and
-    ``W @ cols`` is already NCHW. Rows and columns past the last whole
-    window are dropped, as the strided windows never reach them. For 1x1
-    stride 1 the columns are a view of the input and this is one plain GEMM."""
+def _conv_patchify(x: np.ndarray, p: ConvParams, out: np.ndarray) -> None:
+    """Kernel == stride, no padding, into ``out``: the windows tile the
+    input, so one reshape/transpose copy turns them into (in * k * k,
+    oh * ow) columns and ``W @ cols`` is already NCHW. Rows and columns past
+    the last whole window are dropped, as the strided windows never reach
+    them. For 1x1 stride 1 the columns are a view of the input and this is
+    one plain GEMM."""
     n, c = x.shape[:2]
+    oh, ow = out.shape[2:]
     k = p.stride
     tiles = x[:, :, : oh * k, : ow * k].reshape(n, c, oh, k, ow, k)
     cols = tiles.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * k * k, oh * ow)
-    out = np.matmul(p.weight.reshape(p.out_ch, c * k * k), cols)
-    return out.reshape(n, p.out_ch, oh, ow)
+    np.matmul(p.weight.reshape(p.out_ch, c * k * k), cols,
+              out=out.reshape(n, p.out_ch, oh * ow))
 
 
-def _conv_im2col(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
-    """Every other shape: pad, then one GEMM per group over sliding-window
-    columns."""
+def _conv_im2col(x: np.ndarray, p: ConvParams, out: np.ndarray) -> None:
+    """Every other shape, into ``out``: pad, then one GEMM per group over
+    sliding-window columns."""
     n, c = x.shape[:2]
+    oh, ow = out.shape[2:]
     if p.padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (p.padding,) * 2, (p.padding,) * 2))
     g = p.groups
@@ -214,9 +253,8 @@ def _conv_im2col(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
     cols = np.ascontiguousarray(cols.transpose(0, 1, 3, 2, 4))
     cols = cols.reshape(n, g, oh * ow, cg * p.kh * p.kw)
     wm = p.weight.reshape(1, g, p.out_ch // g, cg * p.kh * p.kw)
-    out = np.matmul(cols, wm.transpose(0, 1, 3, 2))  # (n, g, L, out/g)
-    out = out.transpose(0, 1, 3, 2).reshape(n, p.out_ch, oh, ow)
-    return np.ascontiguousarray(out)
+    res = np.matmul(cols, wm.transpose(0, 1, 3, 2))  # (n, g, L, out/g)
+    np.copyto(out.reshape(n, g, p.out_ch // g, oh * ow), res.transpose(0, 1, 3, 2))
 
 
 def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
@@ -227,11 +265,21 @@ def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
             f"batch_norm: input channels {x.shape[1]} != param length {p.channels}")
     scale = (p.gamma / np.sqrt(p.running_var + p.eps)).astype(x.dtype, copy=False)
     shift = (p.beta - p.running_mean * scale).astype(x.dtype, copy=False)
-    return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+    scale, shift = scale.reshape(1, -1, 1, 1), shift.reshape(1, -1, 1, 1)
+    out = np.empty(x.shape, np.result_type(x, scale))
+
+    def part(lo, hi):
+        np.multiply(x[lo:hi], scale, out=out[lo:hi])
+        out[lo:hi] += shift
+
+    _over_batch(part, len(x))
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    out = np.empty_like(x)
+    _over_batch(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), len(x))
+    return out
 
 
 # Abramowitz & Stegun 7.1.26: erfc(z) = t * P(t) * exp(-z^2) for z >= 0 with
@@ -251,8 +299,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
     in-place ufuncs into the output and two scratch buffers. In float32 the
     result is within 1e-6 of the exact function, and gelu(0) == 0 exactly.
     """
+    out = np.empty_like(x)
+    _over_batch(lambda lo, hi: _gelu_into(x[lo:hi], out[lo:hi]), len(x))
+    return out
+
+
+def _gelu_into(x: np.ndarray, a: np.ndarray) -> None:
     dt = x.dtype.type
-    a = np.abs(x)
+    np.abs(x, out=a)
     t = np.multiply(a, dt(_AS_P))
     t += 1
     np.reciprocal(t, out=t)
@@ -268,7 +322,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     q *= a  # 0.5 * |x| * erfc(|x| / sqrt 2)
     np.maximum(x, 0, out=a)
     a -= q
-    return a
 
 
 def hard_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -305,17 +358,27 @@ def channel_stats(x: np.ndarray, eps: float = EPS_STAT) -> tuple[np.ndarray, np.
     strictly positive scale.
     """
     check_tensor4(x, "channel_stats input")
-    mean = x.mean(axis=(2, 3))
-    var = x.var(axis=(2, 3))
-    std = np.sqrt(var + eps, dtype=x.dtype)
-    return mean.astype(x.dtype, copy=False), std
+    mean = np.empty(x.shape[:2], x.dtype)
+    std = np.empty(x.shape[:2], x.dtype)
+
+    def part(lo, hi):
+        x[lo:hi].mean(axis=(2, 3), out=mean[lo:hi])
+        np.sqrt(x[lo:hi].var(axis=(2, 3)) + eps, out=std[lo:hi], dtype=x.dtype)
+
+    _over_batch(part, len(x))
+    return mean, std
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax over the last axis."""
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_in_place(m - m.max(axis=-1, keepdims=True))
+
+
+def _softmax_in_place(shifted: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of rows whose maximum is already 0."""
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,3 +386,159 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"matmul: inner dims disagree ({a.shape[-1]} vs {b.shape[0]})")
     return np.matmul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# batch split
+# ---------------------------------------------------------------------------
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Task:
+    """One batch slice for a pool thread; ``wait`` returns what it raised."""
+
+    __slots__ = ("fn", "lo", "hi", "done", "error")
+
+    def __init__(self, fn, lo: int, hi: int):
+        self.fn, self.lo, self.hi, self.error = fn, lo, hi, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def run(self) -> None:
+        try:
+            self.fn(self.lo, self.hi)
+        except BaseException as exc:  # re-raised on the calling thread by _over_batch
+            self.error = exc
+        finally:
+            self.done.release()
+
+    def wait(self) -> BaseException | None:
+        self.done.acquire()
+        return self.error
+
+
+class _Pool:
+    """Persistent daemon threads, started on first use, that run the slices
+    ``_over_batch`` queues. A slice costs one queue put and one lock, about
+    a quarter of the round trip of a ``concurrent.futures`` future, which a
+    forward with over a hundred splits notices."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._tasks = queue.SimpleQueue()
+        self._start_lock = threading.Lock()
+        self._started = False
+
+    def submit(self, fn, lo: int, hi: int) -> _Task:
+        if not self._started:
+            self._start()
+        task = _Task(fn, lo, hi)
+        self._tasks.put(task)
+        return task
+
+    def _start(self) -> None:
+        with self._start_lock:
+            if not self._started:
+                for i in range(self.threads):
+                    threading.Thread(target=self._work, name=f"patnet-{i}",
+                                     daemon=True).start()
+                self._started = True
+
+    def _work(self) -> None:
+        while True:
+            self._tasks.get().run()
+
+    def _forget_threads(self) -> None:
+        # a forked child has none of the parent's threads; start new ones
+        self._tasks = queue.SimpleQueue()
+        self._start_lock = threading.Lock()
+        self._started = False
+
+
+# One pool thread per CPU this process may run on, less the calling thread,
+# which runs the last slice itself.
+_THREADS = _cpu_count()
+_POOL = _Pool(_THREADS - 1) if _THREADS > 1 else None
+if _POOL is not None and hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL._forget_threads)
+# one armed forward at a time: the BLAS thread count it pins is process-wide
+_SPLIT_LOCK = threading.Lock()
+_split_thread = None  # ident of the thread inside _split_batches, under _SPLIT_LOCK
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy is linked
+    against, or None when it does not export the scipy-openblas calls."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # its dependencies are searched too
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _split_ready() -> bool:
+    return _POOL is not None and _openblas_threads() is not None
+
+
+@contextmanager
+def _split_batches(n: int):
+    """Within the block, kernels called from this thread split batches of
+    ``n`` >= 2 across the pool, and OpenBLAS runs on one thread; its prior
+    thread count comes back on exit, also when a kernel raised."""
+    if n < 2 or not _split_ready():
+        yield
+        return
+    global _split_thread
+    get, set_ = _openblas_threads()
+    with _SPLIT_LOCK:
+        prior = get()
+        set_(1)
+        _split_thread = threading.get_ident()
+        try:
+            yield
+        finally:
+            _split_thread = None
+            set_(prior)
+
+
+def _over_batch(fn, n: int) -> None:
+    """Run ``fn(lo, hi)`` over contiguous slices that cover ``range(n)``:
+    one per pool thread plus one, the last, on the calling thread when this
+    thread is inside ``_split_batches``; else ``fn(0, n)``. ``fn`` must run
+    only private helpers and raw numpy."""
+    if _split_thread != threading.get_ident():
+        fn(0, n)
+        return
+    k = min(n, _THREADS)
+    cuts = [n * i // k for i in range(k + 1)]
+    tasks = [_POOL.submit(fn, cuts[i], cuts[i + 1]) for i in range(k - 1)]
+    try:
+        fn(cuts[-2], n)
+    finally:
+        errors = [task.wait() for task in tasks]  # no slice may outlive the call
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def thread_config() -> dict:
+    """The threads a forward runs on: ``engine_workers`` that batched
+    kernels split across, and the OpenBLAS threads in effect at batch 1
+    and at batch > 1 (None where OpenBLAS cannot be queried)."""
+    blas = _openblas_threads()
+    current = blas[0]() if blas else None
+    split = _split_ready()
+    return {"engine_workers": _THREADS if split else 1,
+            "blas_threads_batch1": current,
+            "blas_threads_batched": 1 if split else current}

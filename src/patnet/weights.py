@@ -104,6 +104,8 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise WeightFileError(f"tensor name at byte {off} is not UTF-8") from exc
             off += nlen
+            if name in tensors:
+                raise WeightFileError(f"tensor name {name!r} appears twice")
             dtype, ndim = struct.unpack_from("<BB", blob, off)
             off += 2
             if dtype != DTYPE_F32:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from patnet import tensor_ops
 from patnet.bench import INPUT_SEED, bench_run
 from patnet.config import build_variant
 from patnet.fusion import fuse_model
@@ -31,12 +32,16 @@ class TestBenchRun:
         with pytest.raises(ValueError):
             bench_run(spec, store, batch=1, iters=0, warmup=0)
 
-    def test_threaded_run_counts_all_images(self, t0):
+    def test_reports_thread_configuration(self, t0):
         spec, store = t0
-        r = bench_run(spec, store, batch=1, iters=2, warmup=0, threads=2)
-        assert r.threads == 2
-        # 2 iters x 2 workers = 4 forwards timed
-        assert r.images_per_sec > 0
+        r = bench_run(spec, store, batch=2, iters=2, warmup=0)
+        assert r.engine_workers >= 1
+        config = tensor_ops.thread_config()
+        assert (r.engine_workers, r.blas_threads_batch1, r.blas_threads_batched) == (
+            config["engine_workers"], config["blas_threads_batch1"],
+            config["blas_threads_batched"])
+        if r.engine_workers > 1:  # batched kernels split; BLAS pinned to one thread
+            assert r.blas_threads_batched == 1
 
     def test_small_variant_faster_than_large(self):
         t0_spec = build_variant("T0")

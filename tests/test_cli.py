@@ -154,9 +154,11 @@ class TestBenchCommand:
         assert payload["variant"] == "T0"
         assert payload["images_per_sec"] > 0
         assert payload["p95_latency_ms"] >= payload["p50_latency_ms"] >= 0
-        assert payload["threads"] == 1
+        assert payload["engine_workers"] >= 1
+        assert {"blas_threads_batch1", "blas_threads_batched"} <= payload.keys()
 
     def test_text_report(self, capsys):
         assert cli_dispatch(["bench", "--variant", "T0", "--batch", "1",
                              "--iters", "1", "--warmup", "0"]) == 0
-        assert "images/sec" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "images/sec" in out and "engine worker" in out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,33 @@ class TestPreprocess:
         expected = (0.5 - IMAGENET_MEAN) / IMAGENET_STD
         for ci in range(3):
             assert np.allclose(out[0, ci], expected[ci], atol=1e-6)
+
+    @pytest.mark.parametrize("hw", [(300, 500), (500, 300), (249, 249), (32, 1)])
+    def test_cropped_resize_is_the_window_of_the_full_resize(self, rng, hw):
+        img = rng.uniform(0, 1, (1, 3, *hw)).astype(np.float32)
+        out_h, out_w = (249, 415) if hw[0] <= hw[1] else (415, 249)
+        if hw == (32, 1):
+            out_h, out_w = 7968, 249
+        full = center_crop(bilinear_resize(img, out_h, out_w), 224)
+        assert bilinear_resize(img, out_h, out_w, 224).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("width,height", [(1, 32), (100000, 1)])
+    def test_memory_bounded_by_the_crop_for_thin_images(self, tmp_path, width, height):
+        # resizing the shorter side to 249 makes the other side 249 times
+        # the aspect ratio: 7968 for 1x32, 24.9 million for 100000x1
+        path = tmp_path / "thin.ppm"
+        path.write_bytes(f"P6\n{width} {height}\n255\n".encode()
+                         + bytes(range(256)) * (3 * width * height // 256)
+                         + bytes(3 * width * height % 256))
+        img = load_ppm(path)
+        tracemalloc.start()
+        try:
+            out = preprocess(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 3, 224, 224) and np.all(np.isfinite(out))
+        assert peak < 16 << 20  # the full 1x32 resize alone peaked at 95 MB
 
     def test_crop_window_is_centered(self):
         # a bright dot at the exact center survives the crop at the center

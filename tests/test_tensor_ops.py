@@ -63,11 +63,12 @@ class TestConv2d:
                             ConvParams(w[ci : ci + 1], padding=1))
             assert np.array_equal(whole[:, ci : ci + 1], single)
 
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 7)])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (7, 7), (1, 5), (5, 1)])
     @pytest.mark.parametrize("groups", [1, 6])
     def test_3x3_taps_match_naive(self, rng, hw, groups):
         # 3x3 stride 1 pad 1, dense and depthwise, on extents where most or
-        # all of the off-centre taps fall off the edge
+        # all of the off-centre taps fall off the edge, or where every
+        # flattened tap add wraps across row ends (one row or one column)
         x = rand_t4(rng, 2, 6, *hw)
         w = rng.standard_normal((6, 6 // groups, 3, 3)).astype(np.float32)
         b = rng.standard_normal(6).astype(np.float32)

@@ -152,6 +152,14 @@ class TestLoadErrors:
         with pytest.raises(WeightFileError, match="shape"):
             deserialize_store(one_tensor_blob(b"a", (0, 2**32 - 1, 2**32 - 1)))
 
+    def test_duplicate_tensor_name_is_weight_file_error(self):
+        # a valid checksum over two tensors both named "a"
+        entry = struct.pack("<H", 1) + b"a" + struct.pack("<BBI", 0, 1, 1)
+        body = (b"PATW" + struct.pack("<II", 1, 2) + entry + struct.pack("<f", 1.0)
+                + entry + struct.pack("<f", 2.0))
+        with pytest.raises(WeightFileError, match="twice"):
+            deserialize_store(with_crc(body))
+
     def test_non_model_names_rejected_without_spec(self, tmp_path):
         path = tmp_path / "x.patw"
         path.write_bytes(self.make_blob())
