@@ -360,10 +360,14 @@ def channel_stats(x: np.ndarray, eps: float = EPS_STAT) -> tuple[np.ndarray, np.
     check_tensor4(x, "channel_stats input")
     mean = np.empty(x.shape[:2], x.dtype)
     std = np.empty(x.shape[:2], x.dtype)
+    hw = x.shape[2] * x.shape[3]
 
     def part(lo, hi):
+        # the steps of np.var, reusing the mean: bitwise equal to x.var
         x[lo:hi].mean(axis=(2, 3), out=mean[lo:hi])
-        np.sqrt(x[lo:hi].var(axis=(2, 3)) + eps, out=std[lo:hi], dtype=x.dtype)
+        d = x[lo:hi] - mean[lo:hi, :, None, None]
+        np.square(d, out=d)
+        np.sqrt(d.sum(axis=(2, 3)) / hw + eps, out=std[lo:hi], dtype=x.dtype)
 
     _over_batch(part, len(x))
     return mean, std

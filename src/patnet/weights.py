@@ -7,17 +7,22 @@ Layout (all integers little-endian):
                 | u8 ndim | ndim x u32 dims | raw float32 payload
     u32 CRC-32 (IEEE) of every preceding byte
 
-Round trips are bitwise lossless. Loading validates magic, version, checksum
-and, unless an explicit spec is supplied, matches the name set against the
-known variants to recover which model (and whether it was fused) the file
-holds.
+Round trips are bitwise lossless. Loading streams the file once: each
+payload is read straight into its tensor while a running CRC-32 covers every
+byte. It validates magic, version, checksum and layout, and, unless an
+explicit spec is supplied, matches the name set against the known variants to
+recover which model (and whether it was fused) the file holds.
 """
 
 from __future__ import annotations
 
+import ctypes
+import io
 import math
+import os
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +66,7 @@ def serialize_store(store: ParamStore) -> bytes:
         parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
         parts.append(np.ascontiguousarray(tensor).astype("<f4").tobytes())
     body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return body + struct.pack("<I", _crc32()(body))
 
 
 def expected_file_size(store: ParamStore) -> int:
@@ -78,58 +83,146 @@ def save_weights(store: ParamStore, path) -> None:
         fh.write(serialize_store(store))
 
 
-def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    if len(blob) < 16:
-        raise CrcError(f"file too short ({len(blob)} bytes), corrupt or truncated")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    # a memoryview slice, so the checksum and the payloads copy no bytes
-    view = memoryview(blob)
-    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CrcError("checksum mismatch (file corrupt or truncated)")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise VersionError(f"unknown version {version}, expected {VERSION}")
+@lru_cache(maxsize=1)
+def _crc32():
+    """The CRC-32 for payloads and whole files: libdeflate's when its shared
+    library is found (several times zlib's speed on megabyte buffers), else
+    ``zlib.crc32``. Both take ``(data, value=0)`` and give the same value,
+    running CRCs included. Picked on first use, because ``find_library``
+    runs ``ldconfig``."""
+    import ctypes.util  # imports subprocess: a few ms that only loads need
 
-    tensors: dict[str, np.ndarray] = {}
-    off = 12
-    end = len(blob) - 4
+    path = ctypes.util.find_library("deflate")
+    if path is None:
+        return zlib.crc32
     try:
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            try:
-                name = blob[off : off + nlen].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise WeightFileError(f"tensor name at byte {off} is not UTF-8") from exc
-            off += nlen
-            if name in tensors:
-                raise WeightFileError(f"tensor name {name!r} appears twice")
-            dtype, ndim = struct.unpack_from("<BB", blob, off)
-            off += 2
-            if dtype != DTYPE_F32:
-                raise WeightFileError(f"tensor {name}: unsupported dtype {dtype}")
-            dims = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            n = math.prod(dims)  # exact: a fixed-width product could wrap
-            if 4 * n > end - off:
-                raise CrcError(f"tensor {name}: payload truncated")
-            payload = view[off : off + 4 * n]
-            off += 4 * n
-            try:
-                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-            except ValueError as exc:  # over 64 dims, or an empty but too-large shape
-                raise WeightFileError(f"tensor {name}: unusable shape {dims}") from exc
-    except struct.error as exc:
-        raise CrcError(f"file truncated while parsing: {exc}") from exc
-    if off != end:
-        raise WeightFileError(f"{end - off} trailing bytes after last tensor")
+        fn = ctypes.CDLL(path).libdeflate_crc32
+    except (OSError, AttributeError):
+        return zlib.crc32
+    fn.argtypes = [ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t]
+    fn.restype = ctypes.c_uint32
+
+    def libdeflate_crc32(data, value=0):
+        buf = np.frombuffer(data, np.uint8)  # any contiguous buffer, kept alive by buf
+        return fn(value, buf.ctypes.data, buf.size)
+
+    return libdeflate_crc32
+
+
+class _Body:
+    """The bytes of a PATW file before its stored CRC, read front to back,
+    with the CRC-32 of every byte read so far."""
+
+    CHUNK = 1 << 20  # read size when checksumming bytes no tensor takes
+    SMALL = 8 << 10  # below this many bytes, zlib.crc32 beats a ctypes call
+
+    def __init__(self, fh, end: int, head: bytes):
+        self.fh, self.end = fh, end
+        self.pos, self.crc = len(head), zlib.crc32(head)
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` header bytes, checksummed by zlib (see SMALL)."""
+        if n > self.end - self.pos:
+            raise CrcError("file truncated while parsing")
+        raw = self.fh.read(n)
+        self.pos += len(raw)
+        self.crc = zlib.crc32(raw, self.crc)
+        if len(raw) != n:
+            raise CrcError("file truncated while parsing")
+        return raw
+
+    def fill(self, tensor: np.ndarray) -> None:
+        """Read the next ``tensor.nbytes`` bytes straight into ``tensor``."""
+        got = self.fh.readinto(tensor)
+        self.pos += got
+        if got != tensor.nbytes:  # the stream ended early: no checksum can match
+            raise CrcError("file truncated while reading a payload")
+        crc32 = zlib.crc32 if got < self.SMALL else _crc32()
+        self.crc = crc32(tensor, self.crc)
+
+    def checksum_ok(self) -> bool:
+        """Checksum the rest of the body; True when the stored CRC matches."""
+        while self.pos < self.end:
+            chunk = self.fh.read(min(self.CHUNK, self.end - self.pos))
+            if not chunk:
+                return False
+            self.pos += len(chunk)
+            self.crc = _crc32()(chunk, self.crc)
+        return self.fh.read(4) == struct.pack("<I", self.crc)
+
+
+def _read_store(fh, size: int) -> dict[str, np.ndarray]:
+    """Parse the PATW file of ``size`` bytes that ``fh`` reads, in one pass.
+
+    Every payload is read straight into its tensor and checksummed as it
+    arrives. The errors are those of checking the CRC before parsing: when a
+    parse fails, the rest of the file is still checksummed, and a mismatch
+    raises ``CrcError`` from the parse error. The body of an unknown version
+    is never parsed.
+    """
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if size < 16:
+        raise CrcError(f"file too short ({size} bytes), corrupt or truncated")
+    body = _Body(fh, size - 4, magic)
+    try:
+        version, count = struct.unpack("<II", body.take(8))
+        if version != VERSION:
+            raise VersionError(f"unknown version {version}, expected {VERSION}")
+        tensors = _read_tensors(body, count)
+        if body.pos != body.end:
+            raise WeightFileError(f"{body.end - body.pos} trailing bytes after last tensor")
+    except WeightFileError as exc:
+        if not body.checksum_ok():
+            raise CrcError("checksum mismatch (file corrupt or truncated)") from exc
+        raise
+    if not body.checksum_ok():
+        raise CrcError("checksum mismatch (file corrupt or truncated)")
     return tensors
 
 
-def _schema_names(spec: ModelSpec, fused: bool) -> set[str]:
-    return {d.name for d in iter_param_schema(spec, fused)}
+def _read_tensors(body: _Body, count: int) -> dict[str, np.ndarray]:
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", body.take(2))
+        at = body.pos
+        try:
+            name = body.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFileError(f"tensor name at byte {at} is not UTF-8") from exc
+        if name in tensors:
+            raise WeightFileError(f"tensor name {name!r} appears twice")
+        dtype, ndim = struct.unpack("<BB", body.take(2))
+        if dtype != DTYPE_F32:
+            raise WeightFileError(f"tensor {name}: unsupported dtype {dtype}")
+        dims = struct.unpack(f"<{ndim}I", body.take(4 * ndim))
+        n = math.prod(dims)  # exact: a fixed-width product could wrap
+        # checked before allocating, so no tensor outgrows the file
+        if 4 * n > body.end - body.pos:
+            raise CrcError(f"tensor {name}: payload truncated")
+        try:
+            tensor = np.empty(dims, "<f4")
+        except ValueError as exc:  # over 64 dims, or an empty but too-large shape
+            raise WeightFileError(f"tensor {name}: unusable shape {dims}") from exc
+        body.fill(tensor)
+        tensors[name] = tensor
+    return tensors
+
+
+def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
+    """Parse a PATW file held in memory, with the checks of ``load_weights``."""
+    return _read_store(io.BytesIO(blob), len(blob))
+
+
+@lru_cache(maxsize=64)
+def _schema_names(spec: ModelSpec, fused: bool) -> frozenset[str]:
+    return frozenset(d.name for d in iter_param_schema(spec, fused))
+
+
+@lru_cache(maxsize=1)
+def _variant_specs() -> tuple[tuple[str, ModelSpec], ...]:
+    return tuple((v, build_variant(v)) for v in VARIANT_TABLE)
 
 
 def match_store(tensors: dict[str, np.ndarray],
@@ -137,7 +230,7 @@ def match_store(tensors: dict[str, np.ndarray],
     """Return (variant_name, fused) for the name set, or raise NameSetError."""
     names = set(tensors)
     candidates = ([(spec.label or spec.config.name, spec)] if spec is not None
-                  else [(v, build_variant(v)) for v in VARIANT_TABLE])
+                  else _variant_specs())
     for label, cand in candidates:
         for fused in (False, True):
             if names == _schema_names(cand, fused):
@@ -164,7 +257,6 @@ def _summarize(names: set[str], candidates) -> str:
 def load_weights(path, spec: ModelSpec | None = None):
     """Load and validate; returns (ParamStore, variant_name)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    tensors = deserialize_store(blob)
+        tensors = _read_store(fh, os.fstat(fh.fileno()).st_size)
     variant, fused = match_store(tensors, spec)
     return ParamStore(tensors=tensors, fused=fused), variant

@@ -218,6 +218,15 @@ class TestPoolingAndStats:
         assert np.abs(mean - m2).max() <= 1e-6
         assert np.abs(std - s2).max() <= 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 5, 1, 1), (1, 7, 3, 5), (3, 24, 14, 14)])
+    def test_stats_bitwise_numpy_var(self, rng, shape, dtype):
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        mean, std = channel_stats(x)
+        assert mean.dtype == std.dtype == dtype
+        assert np.array_equal(mean, x.mean(axis=(2, 3)))
+        assert np.array_equal(std, np.sqrt(x.var(axis=(2, 3)) + EPS_STAT, dtype=dtype))
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_stats_std_floor(self, h, w, seed):

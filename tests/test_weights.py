@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patnet import weights
+from patnet.config import VARIANT_TABLE, build_variant, iter_param_schema
 from patnet.fusion import fuse_model
 from patnet.model import ParamStore, init_params
 from patnet.weights import (
@@ -222,3 +225,122 @@ class TestFuzz:
         rest = body[ndim_at + 1 + 4 * old_ndim :]
         parse_or_typed_error(with_crc(header + bytes([ndim])
                                       + struct.pack(f"<{len(dims)}I", *dims) + rest))
+
+
+# one tensor "ab" of two floats: name at 14, dims at 18, payload at 22
+AB_BODY = one_tensor_blob(b"ab", (2,), struct.pack("<2f", 1.0, 2.0))[:-4]
+
+
+class TestStreamedLoad:
+    """The streamed load raises what checking the CRC before parsing would,
+    and agrees with the in-memory parse."""
+
+    @pytest.mark.parametrize("broken", [
+        AB_BODY[:18] + struct.pack("<I", 2**31) + AB_BODY[22:],
+        AB_BODY[:14] + b"\xff\xfe" + AB_BODY[16:],
+        AB_BODY + b"\0" * 4,
+    ], ids=["dims", "name", "trailing"])
+    def test_broken_structure_with_stale_crc_is_crc_error(self, broken):
+        stale = struct.pack("<I", zlib.crc32(AB_BODY))
+        with pytest.raises(CrcError):
+            deserialize_store(broken + stale)
+        with pytest.raises(WeightFileError) as info:  # valid CRC: the parse error
+            deserialize_store(with_crc(broken))
+        assert "checksum" not in str(info.value)
+
+    def test_unknown_version_body_is_never_parsed(self):
+        body = b"PATW" + struct.pack("<II", 9, 5) + b"\xff" * 7  # not a v1 body
+        with pytest.raises(VersionError):
+            deserialize_store(with_crc(body))
+        with pytest.raises(CrcError):
+            deserialize_store(body + b"\0" * 4)
+
+    def test_huge_claimed_tensor_allocates_nothing(self, tmp_path):
+        blob = one_tensor_blob(b"a", (2**30,))
+        path = tmp_path / "huge.patw"
+        path.write_bytes(blob + b"\0" * (100 - len(blob)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CrcError):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_load_peak_memory_is_about_the_file_size(self, t0_store, tmp_path):
+        path = tmp_path / "t0.patw"
+        save_weights(t0_store[1], path)
+        load_weights(path)  # build the schema caches outside the measurement
+        tracemalloc.start()
+        try:
+            load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
+
+    def test_zlib_fallback_loads_the_same_tensors(self, t0_store, tmp_path, monkeypatch):
+        path = tmp_path / "t0.patw"
+        save_weights(t0_store[1], path)
+        fast, _ = load_weights(path)
+        monkeypatch.setattr(weights, "_crc32", lambda: zlib.crc32)
+        slow, _ = load_weights(path)
+        assert list(slow.tensors) == list(fast.tensors)
+        assert all(slow[k].tobytes() == fast[k].tobytes() for k in fast.names())
+
+    @pytest.mark.parametrize("variant", list(VARIANT_TABLE))
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_file_load_matches_blob_parse(self, variant, fused, tmp_path):
+        # every name, in schema order, at its rank; dims capped at 3 so that
+        # L (416 MB of weights) stays small
+        spec = build_variant(variant)
+        rng = np.random.default_rng(len(variant))
+        store = ParamStore(tensors={
+            d.name: rng.standard_normal([min(n, 3) for n in d.shape]).astype(np.float32)
+            for d in iter_param_schema(spec, fused)})
+        path = tmp_path / "w.patw"
+        save_weights(store, path)
+        loaded, label = load_weights(path)
+        assert loaded.fused == fused  # T0 and T1 share one name set: label is T0
+        schema = iter_param_schema(build_variant(label), fused)
+        assert {d.name for d in schema} == set(store.tensors)
+        parsed = deserialize_store(path.read_bytes())
+        assert list(loaded.tensors) == list(parsed) == list(store.tensors)
+        for name, tensor in parsed.items():
+            assert loaded[name].shape == tensor.shape
+            assert loaded[name].tobytes() == tensor.tobytes() == store[name].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_stores)
+    def test_small_stores_round_trip_through_a_file(self, tmp_path_factory, store):
+        # empty and 0-d tensors included: readinto gets zero-size buffers
+        path = tmp_path_factory.mktemp("rt") / "s.patw"
+        save_weights(store, path)
+        with open(path, "rb") as fh:
+            loaded = weights._read_store(fh, path.stat().st_size)
+        assert list(loaded) == list(store.tensors)
+        for name, tensor in store.tensors.items():
+            assert loaded[name].shape == tensor.shape
+            assert loaded[name].tobytes() == tensor.tobytes()
+
+
+@pytest.mark.skipif(weights._crc32() is zlib.crc32, reason="libdeflate not found")
+class TestLibdeflateCrc:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=70_000), st.lists(st.integers(0, 70_000), max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_running_crc_matches_zlib(self, data, cuts, start):
+        crc = weights._crc32()
+        bounds = [0, *sorted(c % (len(data) + 1) for c in cuts), len(data)]
+        value = start
+        for lo, hi in zip(bounds, bounds[1:]):  # pieces may be empty
+            value = crc(data[lo:hi], value)
+        assert value == zlib.crc32(data, start)
+
+    def test_arrays_and_empty_buffers(self):
+        crc = weights._crc32()
+        for buf in [b"", np.empty((0, 3), np.float32), np.float32(1.5).reshape(()),
+                    np.arange(5000, dtype=np.float32).reshape(50, 100)]:
+            assert crc(buf) == zlib.crc32(buf)
+            assert crc(buf, 123) == zlib.crc32(buf, 123)
