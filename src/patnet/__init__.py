@@ -22,7 +22,7 @@ from .config import (
     build_variant,
 )
 from .counting import count_flops, count_params
-from .fusion import FusionReport, fold_bn, fuse_model, merge_patsp
+from .fusion import FusionError, FusionReport, fold_bn, fuse_model, merge_patsp
 from .gradcheck import GradReport, block_vjp, finite_diff_grad, gradcheck_block
 from .model import ParamStore, init_params, model_forward
 from .tensor_ops import (
@@ -43,6 +43,7 @@ __all__ = [
     "ABLATION_MODES",
     "BnParams",
     "ConvParams",
+    "FusionError",
     "FusionReport",
     "GradReport",
     "ModelSpec",

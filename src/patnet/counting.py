@@ -1,25 +1,20 @@
 """Exact parameter and multiply-accumulate counters.
 
-Conventions:
-
-* parameters: every tensor the store holds, which includes BN statistics
-  alongside the learnables (they are part of the serialized model);
-* FLOPs are MACs: conv = positions * out_ch * (in_ch / groups) * k^2,
-  fully-connected / matmul = product of the three dims, attention =
-  q/k/v/o projections plus 2 * L^2 * width for the two attention GEMMs,
-  one count per elementwise gating multiply; activations, softmax and
-  normalization are free;
-* in fused mode the standalone gate-map convs disappear: their single
-  output row rides along in the widened second pointwise conv and is not
-  charged.
+Parameters are every tensor the store holds, which includes BN statistics
+alongside the learnables (they are part of the serialized model). MACs are
+those of the execution plan, whose ops carry their counts; the conventions
+are stated beside ``model._conv_macs``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from .blocks import se_hidden_width
-from .config import BlockSpec, ModelSpec, iter_param_schema
+import numpy as np
+
+from .config import ModelSpec, iter_param_schema
+from .model import ParamStore, build_plan
 
 
 def count_params(spec: ModelSpec, fused: bool = False) -> int:
@@ -27,37 +22,11 @@ def count_params(spec: ModelSpec, fused: bool = False) -> int:
     return sum(math.prod(d.shape) for d in iter_param_schema(spec, fused))
 
 
-def _block_flops(b: BlockSpec, hw: int, fused: bool) -> int:
-    c = b.channels
-    total = 0
-
-    if b.mixer in ("pat_ch", "pconv", "pat_sf"):
-        if b.mixer_cp > 0:
-            total += hw * b.mixer_cp * b.mixer_cp * 9
-    elif b.mixer == "conv_dense":
-        total += hw * c * c * 9
-    elif b.mixer == "conv_dw":
-        total += hw * c * 9
-
-    if b.mixer == "pat_ch":
-        c_u = c - b.mixer_cp
-        if c_u > 0:
-            hid = se_hidden_width(c_u)
-            total += hid * 2 * c_u + c_u * hid  # gate head, once per sample
-            total += c_u * hw  # gate multiply
-    elif b.mixer == "pat_sf":
-        c_u = c - b.mixer_cp
-        total += 4 * hw * c_u * c_u  # q, k, v, o projections
-        total += 2 * hw * hw * c_u  # attention score and context GEMMs
-
-    total += hw * b.mlp_hidden * c  # mlp conv1
-    total += hw * c * b.mlp_hidden  # mlp conv2
-
-    if b.sp_cp is not None:
-        if not fused:
-            total += hw * c  # standalone 1x1 map conv
-        total += (c - b.sp_cp) * hw  # gate multiply
-    return total
+def _shape_store(spec: ModelSpec, fused: bool) -> ParamStore:
+    """Zero-stride tensors with the schema's shapes: enough to lower a plan
+    without allocating the weights of the large variants."""
+    return ParamStore(tensors={d.name: np.broadcast_to(np.float32(0), d.shape)
+                               for d in iter_param_schema(spec, fused)}, fused=fused)
 
 
 def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
@@ -66,21 +35,5 @@ def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
     h, w = hw
     if h % 32 != 0 or w % 32 != 0:
         raise ValueError(f"input extent {h}x{w} not divisible by 32")
-
-    total = 0
-    sh, sw = h // 4, w // 4
-    total += sh * sw * spec.stage_channels[0] * 3 * 16  # embedding conv 4x4/4
-
-    for si, blocks in enumerate(spec.stages, start=1):
-        if si > 1:
-            sh, sw = sh // 2, sw // 2
-            cin = spec.stage_channels[si - 2]
-            cout = spec.stage_channels[si - 1]
-            total += sh * sw * cout * cin * 4  # merging conv 2x2/2
-        for b in blocks:
-            total += _block_flops(b, sh * sw, fused)
-
-    c4 = spec.stage_channels[3]
-    total += c4 * spec.config.classifier_hidden
-    total += spec.config.classifier_hidden * spec.config.num_classes
-    return total
+    spec = dataclasses.replace(spec, input_hw=(h, w))
+    return build_plan(spec, _shape_store(spec, fused)).macs

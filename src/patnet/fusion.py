@@ -2,7 +2,8 @@
 
 Both rewrites are exact in real arithmetic. ``fuse_model`` applies them to a
 whole store, measures the float deviation of every rewrite on a random probe
-batch, and returns a new store; inputs are never mutated.
+batch, rejects a rewrite whose deviation is out of bounds, and returns a new
+store; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -13,10 +14,17 @@ import numpy as np
 
 from . import tensor_ops as T
 from .config import ModelSpec, iter_param_schema
-from .model import ParamStore, _bn_from
+from .model import Mlp, ParamStore, Stem, build_plan
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 PROBE_SEED = 0x5EED
+# a rewrite passes when its probe deviation is at most this share of the
+# largest magnitude in the probe's reference output
+FUSE_RTOL = 1e-4
+
+
+class FusionError(ValueError):
+    """A rewrite's output drifted from the layers it replaces."""
 
 
 @dataclass
@@ -70,67 +78,68 @@ def merge_patsp(mlp_conv2: ConvParams, map_conv: ConvParams) -> ConvParams:
     return ConvParams(weight.reshape(c + 1, mlp_conv2.in_ch, 1, 1), bias)
 
 
-def _probe_conv_bn(rng, conv: ConvParams, bn: BnParams, fused: ConvParams) -> float:
+def _check(report: FusionReport, key: str, ref: np.ndarray, out: np.ndarray) -> None:
+    """Record the deviation of ``out`` from ``ref`` under ``key``; raise
+    ``FusionError`` unless it is within ``FUSE_RTOL`` of ``ref``'s scale
+    (a NaN deviation never is)."""
+    with np.errstate(invalid="ignore"):  # inf - inf: the NaN fails the check below
+        deviation = float(np.abs(ref - out).max())
+    report.deviations[key] = deviation
+    scale = float(np.abs(ref).max())
+    if not deviation <= FUSE_RTOL * scale:
+        raise FusionError(f"{key}: probe deviation {deviation:.3e} exceeds "
+                          f"{FUSE_RTOL:g} x the reference's max magnitude {scale:.3e}")
+
+
+def _fold(rng, report: FusionReport, name: str, conv: ConvParams,
+          bn: BnParams) -> ConvParams:
+    fused = fold_bn(conv, bn)
     side = max(conv.kh, conv.stride) * 2
     x = rng.standard_normal((2, conv.in_ch, side, side), dtype=np.float32)
-    y_ref = T.batch_norm_infer(T.conv2d(x, conv), bn)
-    y_fused = T.conv2d(x, fused)
-    return float(np.abs(y_ref - y_fused).max())
+    _check(report, f"fold_bn:{name}", T.batch_norm_infer(T.conv2d(x, conv), bn),
+           T.conv2d(x, fused))
+    return fused
 
 
-def _probe_merge(rng, conv2: ConvParams, map_conv: ConvParams,
-                 merged: ConvParams) -> float:
+def _merge(rng, report: FusionReport, block: str, conv2: ConvParams,
+           map_conv: ConvParams) -> ConvParams:
+    merged = merge_patsp(conv2, map_conv)
     x = rng.standard_normal((2, conv2.in_ch, 4, 4), dtype=np.float32)
     m = T.conv2d(x, conv2)
-    ref = np.concatenate([m, T.conv2d(m, map_conv)], axis=1)
-    return float(np.abs(ref - T.conv2d(x, merged)).max())
+    _check(report, f"merge_patsp:{block}",
+           np.concatenate([m, T.conv2d(m, map_conv)], axis=1), T.conv2d(x, merged))
+    return merged
 
 
 def fuse_model(store: ParamStore, spec: ModelSpec) -> tuple[ParamStore, FusionReport]:
-    """Fold every conv+BN pair and merge every spatial-gate map conv."""
+    """Fold every conv+BN pair and merge every spatial-gate map conv.
+
+    The store is lowered once; each embed or merge ``Stem`` and each ``Mlp``
+    of the plan is rewritten from its resolved parameters, in plan order, and
+    the new convs are stored under their op's names in the fused schema's
+    order. Raises ``FusionError`` when a rewrite's probe deviation is out of
+    bounds (see ``FUSE_RTOL``).
+    """
     if store.fused:
         raise ValueError("store is already fused")
     rng = np.random.default_rng(PROBE_SEED)
     report = FusionReport()
     out: dict[str, np.ndarray] = {}
 
-    def put_conv(name: str, conv: ConvParams):
-        out[f"{name}.weight"] = conv.weight
-        if conv.bias is not None:
-            out[f"{name}.bias"] = conv.bias
+    def put(name: str, conv: ConvParams):
+        out[f"{name}.weight"], out[f"{name}.bias"] = conv.weight, conv.bias
 
-    def fold(conv_name: str, bn_name: str, stride: int):
-        conv = ConvParams(store[f"{conv_name}.weight"], None, stride=stride)
-        bn = _bn_from(store, bn_name)
-        fused = fold_bn(conv, bn)
-        report.deviations[f"fold_bn:{conv_name}"] = _probe_conv_bn(rng, conv, bn, fused)
-        put_conv(conv_name, fused)
+    for op in build_plan(spec, store).ops:
+        if isinstance(op, Stem):
+            put(f"{op.name}.conv", _fold(rng, report, f"{op.name}.conv", op.conv, op.bn))
+        elif isinstance(op, Mlp):
+            put(f"{op.name}.conv1", _fold(rng, report, f"{op.name}.conv1", op.conv1, op.bn))
+            if op.gate_map is not None:
+                block = op.name.rpartition(".")[0]
+                put(f"{op.name}.conv2m",
+                    _merge(rng, report, block, op.conv2, op.gate_map.map_conv))
 
-    fold("embed.conv", "embed.bn", 4)
-    for si, blocks in enumerate(spec.stages, start=1):
-        if si > 1:
-            fold(f"merge{si - 1}.conv", f"merge{si - 1}.bn", 2)
-        for bi, b in enumerate(blocks):
-            prefix = f"stage{si}.block{bi}"
-            fold(f"{prefix}.mlp.conv1", f"{prefix}.mlp.bn", 1)
-            conv2 = ConvParams(store[f"{prefix}.mlp.conv2.weight"],
-                               store[f"{prefix}.mlp.conv2.bias"])
-            if b.sp_cp is not None:
-                map_conv = ConvParams(store[f"{prefix}.patsp.map.weight"],
-                                      store[f"{prefix}.patsp.map.bias"])
-                merged = merge_patsp(conv2, map_conv)
-                report.deviations[f"merge_patsp:{prefix}"] = _probe_merge(
-                    rng, conv2, map_conv, merged)
-                put_conv(f"{prefix}.mlp.conv2m", merged)
-            else:
-                put_conv(f"{prefix}.mlp.conv2", conv2)
-
-    fused_names = {d.name for d in iter_param_schema(spec, fused=True)}
-    for name, tensor in store.tensors.items():
-        if name not in out and name in fused_names:
-            out[name] = tensor
-
-    # keep the canonical schema order
-    ordered = {d.name: out[d.name] for d in iter_param_schema(spec, fused=True)}
-    report.tensors_removed = len(store.tensors) - len(ordered)
-    return ParamStore(tensors=ordered, fused=True), report
+    tensors = {**store.tensors, **out}
+    fused = {d.name: tensors[d.name] for d in iter_param_schema(spec, fused=True)}
+    report.tensors_removed = len(store.tensors) - len(fused)
+    return ParamStore(tensors=fused, fused=True), report

@@ -119,6 +119,15 @@ def patsf_params_from(store: ParamStore, prefix: str, b: BlockSpec,
                        heads=b.heads, rpe_table=g("rpe"), rpe_hw=rpe_hw)
 
 
+# Every op holds its MACs per image, and ``counting.count_flops`` is their sum.
+# Conventions: a conv costs positions * out_ch * (in_ch / groups) * k^2; a
+# fully-connected layer or matmul the product of its three dims; attention its
+# q/k/v/o projections plus 2 * L^2 * width for the score and context GEMMs;
+# each elementwise gating multiply costs one. Activations, softmax and
+# normalization are free. A fused ``Mlp`` does not charge the gate-logit row
+# merged into its second conv: that cost rides along in the widened conv, which
+# is the point of the rewrite.
+
 def _conv_macs(conv: ConvParams | None, hw: int) -> int:
     """MACs per image of ``conv`` over ``hw`` output positions."""
     if conv is None:
@@ -277,7 +286,7 @@ class Plan:
 
     @property
     def macs(self) -> int:
-        """MACs per image; equals ``counting.count_flops`` for the store."""
+        """MACs per image, the sum over the ops."""
         return sum(op.macs for op in self.ops)
 
 
@@ -335,7 +344,7 @@ def _mlp(store: ParamStore, prefix: str, b: BlockSpec, act: str, hw: int) -> Mlp
     gate_map = None
     if store.fused and gate is not None:
         conv2 = _conv_from(store, f"{prefix}.mlp.conv2m")
-        # the merged gate-logit row is not charged (see counting.py)
+        # the merged gate-logit row is not charged (see _conv_macs)
         conv2_macs = hw * b.channels * conv2.in_ch
     else:
         conv2 = _conv_from(store, f"{prefix}.mlp.conv2")
@@ -404,12 +413,6 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 16 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
     mallopt(_M_ARENA_MAX, 1)
-
-
-def block_forward(x, store: ParamStore, prefix: str, b: BlockSpec, act: str,
-                  rpe_hw: tuple[int, int]):
-    """One residual block, lowered from ``store`` for this call."""
-    return _run(_block_ops(store, prefix, b, act, rpe_hw, x.shape[2] * x.shape[3]), x)
 
 
 def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ Layout (all integers little-endian):
 Round trips are bitwise lossless. Loading streams the file once: each
 payload is read straight into its tensor while a running CRC-32 covers every
 byte. It validates magic, version, checksum and layout, and, unless an
-explicit spec is supplied, matches the name set against the known variants to
-recover which model (and whether it was fused) the file holds.
+explicit spec is supplied, matches the tensor names and shapes against the
+known variants to recover which model (and whether it was fused) the file
+holds.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ def deserialize_store(blob: bytes) -> dict[str, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _schema_names(spec: ModelSpec, fused: bool) -> frozenset[str]:
-    return frozenset(d.name for d in iter_param_schema(spec, fused))
+def _schema_layout(spec: ModelSpec, fused: bool) -> frozenset[tuple[str, tuple]]:
+    return frozenset((d.name, d.shape) for d in iter_param_schema(spec, fused))
 
 
 @lru_cache(maxsize=1)
@@ -227,31 +228,32 @@ def _variant_specs() -> tuple[tuple[str, ModelSpec], ...]:
 
 def match_store(tensors: dict[str, np.ndarray],
                 spec: ModelSpec | None = None):
-    """Return (variant_name, fused) for the name set, or raise NameSetError."""
-    names = set(tensors)
+    """Return (variant_name, fused) for the tensor names and shapes, or raise
+    NameSetError. Shapes matter: T0 and T1 share every name."""
+    layout = {(name, t.shape) for name, t in tensors.items()}
     candidates = ([(spec.label or spec.config.name, spec)] if spec is not None
                   else _variant_specs())
     for label, cand in candidates:
         for fused in (False, True):
-            if names == _schema_names(cand, fused):
+            if layout == _schema_layout(cand, fused):
                 return label, fused
-    missing = _summarize(names, candidates)
-    raise NameSetError(f"tensor names match no known model layout; {missing}")
+    missing = _summarize(layout, candidates)
+    raise NameSetError(f"tensor names and shapes match no known model layout; {missing}")
 
 
-def _summarize(names: set[str], candidates) -> str:
+def _summarize(layout: set[tuple[str, tuple]], candidates) -> str:
     best, best_diff = None, None
     for label, cand in candidates:
         for fused in (False, True):
-            schema = _schema_names(cand, fused)
-            diff = len(names ^ schema)
+            schema = _schema_layout(cand, fused)
+            diff = len(layout ^ schema)
             if best_diff is None or diff < best_diff:
                 best, best_diff = (label, fused, schema), diff
     label, fused, schema = best
-    miss = sorted(schema - names)[:3]
-    extra = sorted(names - schema)[:3]
-    return (f"closest is {label} (fused={fused}) with "
-            f"{best_diff} differing names, e.g. missing {miss}, unexpected {extra}")
+    miss = sorted(f"{n}{list(s)}" for n, s in schema - layout)[:3]
+    extra = sorted(f"{n}{list(s)}" for n, s in layout - schema)[:3]
+    return (f"closest is {label} (fused={fused}) with {best_diff} differing "
+            f"tensors, e.g. missing {miss}, unexpected {extra}")
 
 
 def load_weights(path, spec: ModelSpec | None = None):

@@ -8,6 +8,8 @@ import pytest
 
 from patnet.cli import cli_dispatch
 from patnet.imageio import save_ppm
+from patnet.model import ParamStore
+from patnet.weights import load_weights, save_weights
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,13 @@ class TestInfer:
         fused_top = capsys.readouterr().out.splitlines()[1]
         assert plain_top.split()[1] == fused_top.split()[1]
 
+    def test_t1_weights(self, sample_image, tmp_path, capsys):
+        path = tmp_path / "t1.patw"
+        assert cli_dispatch(["init", "--variant", "T1", "--out", str(path)]) == 0
+        assert cli_dispatch(["infer", "--weights", str(path),
+                             "--image", str(sample_image), "--topk", "1"]) == 0
+        assert "variant T1 " in capsys.readouterr().out
+
 
 class TestGradcheckCommand:
     def test_all_blocks_pass(self, capsys):
@@ -144,6 +153,17 @@ class TestFuseCommand:
         assert payload["tensors_removed"] > 0
         assert payload["max_deviation"] <= 1e-3
         assert isinstance(payload["deviations"], dict)
+
+    def test_drifting_rewrite_exits_1(self, t0_weights, tmp_path, capsys):
+        store, _ = load_weights(t0_weights)
+        mean = "stage1.block0.mlp.bn.mean"
+        bad = tmp_path / "inf-mean.patw"
+        save_weights(ParamStore(tensors={**store.tensors,
+                                         mean: np.full_like(store[mean], np.inf)}), bad)
+        assert cli_dispatch(["fuse", "--weights", str(bad),
+                             "--out", str(tmp_path / "fused.patw")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fold_bn:stage1.block0.mlp.conv1" in err
 
 
 class TestBenchCommand:

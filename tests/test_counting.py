@@ -10,10 +10,65 @@ from patnet.config import (
     build_variant,
     iter_param_schema,
 )
-from patnet.counting import _block_flops, count_flops, count_params
+from patnet.blocks import se_hidden_width
+from patnet.config import BlockSpec
+from patnet.counting import count_flops, count_params
 from patnet.model import init_params
 
 from test_model import tiny_spec
+
+
+# An analytic MAC count, written from the block layout independently of the
+# execution plan, as an oracle for the per-op MACs that count_flops sums.
+
+def analytic_block_flops(b: BlockSpec, hw: int, fused: bool) -> int:
+    c = b.channels
+    total = 0
+
+    if b.mixer in ("pat_ch", "pconv", "pat_sf"):
+        if b.mixer_cp > 0:
+            total += hw * b.mixer_cp * b.mixer_cp * 9
+    elif b.mixer == "conv_dense":
+        total += hw * c * c * 9
+    elif b.mixer == "conv_dw":
+        total += hw * c * 9
+
+    if b.mixer == "pat_ch":
+        c_u = c - b.mixer_cp
+        if c_u > 0:
+            hid = se_hidden_width(c_u)
+            total += hid * 2 * c_u + c_u * hid  # gate head, once per sample
+            total += c_u * hw  # gate multiply
+    elif b.mixer == "pat_sf":
+        c_u = c - b.mixer_cp
+        total += 4 * hw * c_u * c_u  # q, k, v, o projections
+        total += 2 * hw * hw * c_u  # attention score and context GEMMs
+
+    total += hw * b.mlp_hidden * c  # mlp conv1
+    total += hw * c * b.mlp_hidden  # mlp conv2
+
+    if b.sp_cp is not None:
+        if not fused:
+            total += hw * c  # standalone 1x1 map conv
+        total += (c - b.sp_cp) * hw  # gate multiply
+    return total
+
+
+def analytic_flops(spec, hw, fused: bool) -> int:
+    sh, sw = hw[0] // 4, hw[1] // 4
+    total = sh * sw * spec.stage_channels[0] * 3 * 16  # embedding conv 4x4/4
+    for si, blocks in enumerate(spec.stages, start=1):
+        if si > 1:
+            sh, sw = sh // 2, sw // 2
+            cin = spec.stage_channels[si - 2]
+            cout = spec.stage_channels[si - 1]
+            total += sh * sw * cout * cin * 4  # merging conv 2x2/2
+        for b in blocks:
+            total += analytic_block_flops(b, sh * sw, fused)
+    c4 = spec.stage_channels[3]
+    total += c4 * spec.config.classifier_hidden
+    total += spec.config.classifier_hidden * spec.config.num_classes
+    return total
 
 
 class TestCountParams:
@@ -62,7 +117,6 @@ class TestCountFlops:
         assert 16 * 16 * 9 * 56 * 56 == 7_225_344
 
     def test_block_formula_decomposes(self):
-        from patnet.config import BlockSpec
         b = BlockSpec(channels=64, mixer="pconv", mixer_cp=16, sp_cp=16,
                       mlp_hidden=128)
         hw = 56 * 56
@@ -70,7 +124,7 @@ class TestCountFlops:
                     + hw * 128 * 64 * 2       # two pointwise convs
                     + hw * 64                 # gate map conv
                     + hw * 48)                # gate multiplies
-        assert _block_flops(b, hw, fused=False) == expected
+        assert analytic_block_flops(b, hw, fused=False) == expected
 
     def test_conv_type_study_magnitudes(self):
         t2 = build_variant("T2")

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from patnet.fusion import fold_bn, fuse_model, merge_patsp
-from patnet.model import init_params, model_forward
+from patnet import fusion
+from patnet.fusion import FusionError, fold_bn, fuse_model, merge_patsp
+from patnet.model import ParamStore, init_params, model_forward
 from patnet.tensor_ops import BnParams, ConvParams, ShapeError, batch_norm_infer, conv2d
 
 from conftest import rand_t4
@@ -131,3 +134,30 @@ class TestFuseModel:
         spec, store, _, _ = fused_pair
         fresh = init_params(spec, seed=21)
         assert all(np.array_equal(store[k], fresh[k]) for k in fresh.names())
+
+
+def with_tensor(store, name, value):
+    return ParamStore(tensors={**store.tensors, name: value})
+
+
+class TestFusionGate:
+    def test_nan_deviation_is_rejected(self):
+        # (x - inf) - (x - inf) is NaN, which max() would pass over
+        spec = tiny_spec()
+        store = init_params(spec, seed=21)
+        mean = "stage1.block0.mlp.bn.mean"
+        bad = with_tensor(store, mean, np.full_like(store[mean], np.inf))
+        with pytest.raises(FusionError, match="fold_bn:stage1.block0.mlp.conv1"):
+            fuse_model(bad, spec)
+
+    def test_drifting_fold_is_rejected(self, monkeypatch):
+        real = fusion.fold_bn
+
+        def off_by_one(conv, bn):
+            fused = real(conv, bn)
+            return dataclasses.replace(fused, bias=fused.bias + 1)
+
+        monkeypatch.setattr(fusion, "fold_bn", off_by_one)
+        spec = tiny_spec()
+        with pytest.raises(FusionError, match="fold_bn:embed.conv"):
+            fuse_model(init_params(spec, seed=21), spec)

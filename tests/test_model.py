@@ -17,15 +17,9 @@ from patnet.config import (
     build_variant,
     iter_param_schema,
 )
-from patnet.counting import count_flops
+from patnet.counting import _shape_store, count_flops
 from patnet.fusion import fuse_model
-from patnet.model import (
-    ParamStore,
-    block_forward,
-    build_plan,
-    init_params,
-    model_forward,
-)
+from patnet.model import ParamStore, build_plan, init_params, model_forward
 from patnet.tensor_ops import BnParams, ShapeError, batch_norm_infer
 
 from conftest import rand_t4
@@ -36,6 +30,12 @@ TINY = VariantConfig("tiny", 32, (1, 1, 1, 1), "gelu")
 def tiny_spec(depths=(1, 1, 1, 1), activation="gelu", input_size=32):
     return build_spec(dataclasses.replace(TINY, depths=depths,
                                           activation=activation), input_size)
+
+
+def block_forward(x, store, prefix, b, act, rpe_hw):
+    """One residual block, lowered from ``store`` for this call."""
+    ops = model_mod._block_ops(store, prefix, b, act, rpe_hw, x.shape[2] * x.shape[3])
+    return model_mod._run(ops, x)
 
 
 class TestBuildVariant:
@@ -171,7 +171,6 @@ class TestModelForward:
         x = rand_t4(rng, 1, 3, 32, 32)
         # compare against a stack with additionally zeroed embeddings to
         # isolate one block is overkill; instead check block level directly
-        from patnet.model import block_forward
         b = spec.stages[0][0]
         h = rand_t4(rng, 1, b.channels, 8, 8)
         out = block_forward(h, store0, "stage1.block0", b, "gelu", spec.final_hw)
@@ -239,23 +238,24 @@ class TestAblations:
         assert y.shape == (1, 1000) and np.isfinite(y).all()
 
 
-def shape_store(spec, fused):
-    """Zero-stride tensors with the schema's shapes: enough to lower a plan
-    without allocating the weights of the large variants."""
-    return ParamStore(tensors={d.name: np.broadcast_to(np.float32(0), d.shape)
-                               for d in iter_param_schema(spec, fused)}, fused=fused)
-
-
 class TestPlan:
     @pytest.mark.parametrize("variant", list(VARIANT_TABLE))
     def test_op_macs_sum_to_count_flops(self, variant):
+        # count_flops is the plan's sum, so both are checked against the
+        # analytic formula; T0 and T2 also at an extent other than the spec's
+        from test_counting import analytic_flops
         base = build_variant(variant)
         for mode in (None, *ABLATION_MODES):
             spec = base if mode is None else build_ablation(base, mode)
             for fused in (False, True):
-                plan = build_plan(spec, shape_store(spec, fused))
-                assert plan.macs == count_flops(spec, spec.input_hw, fused), (mode, fused)
+                plan = build_plan(spec, _shape_store(spec, fused))
+                expected = analytic_flops(spec, spec.input_hw, fused)
+                assert plan.macs == expected, (mode, fused)
+                assert count_flops(spec, spec.input_hw, fused) == expected, (mode, fused)
                 assert len({op.name for op in plan.ops}) == len(plan.ops)
+                if variant in ("T0", "T2"):
+                    assert (count_flops(spec, (448, 448), fused)
+                            == analytic_flops(spec, (448, 448), fused)), (mode, fused)
 
     def test_built_once_per_store(self, rng, monkeypatch):
         spec = tiny_spec()

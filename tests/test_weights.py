@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patnet import weights
-from patnet.config import VARIANT_TABLE, build_variant, iter_param_schema
+from patnet.config import VARIANT_TABLE, build_spec, build_variant, iter_param_schema
 from patnet.fusion import fuse_model
 from patnet.model import ParamStore, init_params
 from patnet.weights import (
@@ -163,6 +164,22 @@ class TestLoadErrors:
         with pytest.raises(WeightFileError, match="twice"):
             deserialize_store(with_crc(body))
 
+    def test_t1_file_loads_as_t1(self, tmp_path):
+        # T0 and T1 have the same tensor names; only the shapes tell them apart
+        path = tmp_path / "t1.patw"
+        save_weights(init_params(build_variant("T1"), seed=0), path)
+        store, label = load_weights(path)
+        assert label == "T1" and not store.fused
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        spec = tiny_spec()
+        store = init_params(spec, seed=0)
+        name = "embed.conv.weight"
+        path = tmp_path / "narrow.patw"
+        save_weights(ParamStore(tensors={**store.tensors, name: store[name][:1]}), path)
+        with pytest.raises(NameSetError, match=name):
+            load_weights(path, spec=spec)
+
     def test_non_model_names_rejected_without_spec(self, tmp_path):
         path = tmp_path / "x.patw"
         path.write_bytes(self.make_blob())
@@ -292,19 +309,20 @@ class TestStreamedLoad:
     @pytest.mark.parametrize("variant", list(VARIANT_TABLE))
     @pytest.mark.parametrize("fused", [False, True])
     def test_file_load_matches_blob_parse(self, variant, fused, tmp_path):
-        # every name, in schema order, at its rank; dims capped at 3 so that
-        # L (416 MB of weights) stays small
-        spec = build_variant(variant)
+        # every name of the variant, in schema order, at its rank; narrowed
+        # to 16 base channels and a small head so that L (416 MB of weights)
+        # stays small
+        config = dataclasses.replace(build_variant(variant).config, base_channels=16,
+                                     classifier_hidden=8, num_classes=10)
+        spec = build_spec(config)
         rng = np.random.default_rng(len(variant))
         store = ParamStore(tensors={
-            d.name: rng.standard_normal([min(n, 3) for n in d.shape]).astype(np.float32)
+            d.name: rng.standard_normal(d.shape).astype(np.float32)
             for d in iter_param_schema(spec, fused)})
         path = tmp_path / "w.patw"
         save_weights(store, path)
-        loaded, label = load_weights(path)
-        assert loaded.fused == fused  # T0 and T1 share one name set: label is T0
-        schema = iter_param_schema(build_variant(label), fused)
-        assert {d.name for d in schema} == set(store.tensors)
+        loaded, label = load_weights(path, spec=spec)
+        assert loaded.fused == fused and label == variant
         parsed = deserialize_store(path.read_bytes())
         assert list(loaded.tensors) == list(parsed) == list(store.tensors)
         for name, tensor in parsed.items():
