@@ -252,18 +252,31 @@ def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray
     return out
 
 
+# Per-image projection GEMMs of at most this many MACs are not folded over
+# the batch. OpenBLAS (SkylakeX kernels) runs SGEMMs up to 100^3 MACs through
+# a small-matrix kernel whose rows change bits with the row count, and
+# 4 tokens x 192 x 192 does (a T0 block at 64 x 64 input); its blocked kernel
+# above that gives every row the same bits for any row count.
+_SMALL_GEMM_MACS = 1 << 20
+
+
 def _attend(x_u: np.ndarray, weights: list, bias: np.ndarray, heads: int,
             out: np.ndarray) -> None:
     """Multi-head attention over the h * w tokens of ``x_u`` into ``out``;
     ``weights`` are the transposed projections and their biases, in q, k, v,
-    output order, ``bias`` the (heads, L, L) position bias."""
+    output order, ``bias`` the (heads, L, L) position bias. Unless the
+    per-image projections are small, the tokens of all ``n`` images are one
+    contiguous (n * L, c_u) matrix and each projection one GEMM over it,
+    bitwise equal to one GEMM per image."""
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     n, c_u, h, w = x_u.shape
     L, d = h * w, c_u // heads
     dt = x_u.dtype
     tokens = x_u.reshape(n, c_u, L).transpose(0, 2, 1)  # (n, L, c_u)
+    if L * c_u * c_u > _SMALL_GEMM_MACS:
+        tokens = np.ascontiguousarray(tokens).reshape(n * L, c_u)
 
-    def heads_view(m):  # (n, L, c_u) -> (n, heads, L, d)
+    def heads_view(m):  # (n * L, c_u) or (n, L, c_u) -> (n, heads, L, d)
         return m.reshape(n, L, heads, d).transpose(0, 2, 1, 3)
 
     qh, kh, vh = (heads_view(np.matmul(tokens, wm) + bm)
@@ -273,9 +286,9 @@ def _attend(x_u: np.ndarray, weights: list, bias: np.ndarray, heads: int,
     logits -= logits.max(axis=-1, keepdims=True)
     attn = _softmax_in_place(logits)
     ctx = np.matmul(attn, vh)  # (n, heads, L, d)
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(n, L, c_u)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(tokens.shape)
     y_u = np.matmul(ctx, wo) + bo
-    out[:] = y_u.transpose(0, 2, 1).reshape(n, c_u, h, w)
+    out[:] = y_u.reshape(n, L, c_u).transpose(0, 2, 1).reshape(n, c_u, h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,12 @@ def load_ppm(path) -> np.ndarray:
     if pos >= len(blob) or not blob[pos : pos + 1].isspace():
         raise ImageFormatError("missing whitespace separator before pixel data")
     pos += 1  # single whitespace byte after maxval
-    raw = blob[pos : pos + width * height * 3]
+    raw = memoryview(blob)[pos : pos + width * height * 3]
     if len(raw) != width * height * 3:
         raise ImageFormatError("pixel payload truncated")
     img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    chw = img.transpose(2, 0, 1).astype(np.float32) / 255.0
+    chw = img.transpose(2, 0, 1).astype(np.float32)
+    chw /= np.float32(255.0)
     return chw[None]
 
 
@@ -102,10 +103,15 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
     y0, y1, fy = axis_coords(rows, out_h, h)
     x0, x1, fx = axis_coords(cols, out_w, w)
     y0, y1 = y0[:, None], y1[:, None]  # gather rows and columns in one step
-    top = x[:, :, y0, x0] * (1 - fx) + x[:, :, y0, x1] * fx
-    bot = x[:, :, y1, x0] * (1 - fx) + x[:, :, y1, x1] * fx
-    out = top * (1 - fy)[None, None, :, None] + bot * fy[None, None, :, None]
-    return out.astype(x.dtype)
+    gx, gy, fy = 1 - fx, (1 - fy)[:, None], fy[:, None]
+    top = x[:, :, y0, x0] * gx
+    top += x[:, :, y0, x1] * fx
+    bot = x[:, :, y1, x0] * gx
+    bot += x[:, :, y1, x1] * fx
+    top *= gy
+    bot *= fy
+    top += bot
+    return top.astype(x.dtype, copy=False)
 
 
 def center_crop(x: np.ndarray, size: int) -> np.ndarray:
@@ -125,9 +131,10 @@ def preprocess(img: np.ndarray, crop: int = 224) -> np.ndarray:
         out_h, out_w = short, max(1, round(w * short / h))
     else:
         out_h, out_w = max(1, round(h * short / w)), short
-    cropped = bilinear_resize(img, out_h, out_w, crop)
-    return ((cropped - IMAGENET_MEAN[None, :, None, None])
-            / IMAGENET_STD[None, :, None, None]).astype(np.float32)
+    out = bilinear_resize(img, out_h, out_w, crop)  # a new array: normalised in place
+    out -= IMAGENET_MEAN[None, :, None, None]
+    out /= IMAGENET_STD[None, :, None, None]
+    return out.astype(np.float32, copy=False)
 
 
 def save_ppm(path, img: np.ndarray) -> None:

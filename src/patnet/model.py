@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,7 +152,8 @@ class _Op:
 
 @dataclass(frozen=True, eq=False)
 class Stem(_Op):
-    """Embedding or merging conv, then its BN unless the store is fused."""
+    """Embedding or merging conv, then its BN, in place, unless the store is
+    fused."""
 
     name: str
     macs: int
@@ -161,7 +163,7 @@ class Stem(_Op):
 
     def __call__(self, x, skip):
         x = T.conv2d(x, self.conv)
-        return x if self.bn is None else T.batch_norm_infer(x, self.bn)
+        return x if self.bn is None else T.batch_norm_infer(x, self.bn, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +218,9 @@ class Mlp(_Op):
     ``gate`` is the gate's split, None without a gate. ``gate_map`` is the
     standalone map conv; when the gate is present but ``gate_map`` is None,
     the map is merged into ``conv2``, whose last output channel is the gate
-    logit. ``bn`` is None once folded into ``conv1``.
+    logit. ``bn`` is None once folded into ``conv1``. BN and the activation
+    overwrite the output of ``conv1``, and no name holds that hidden tensor
+    once ``conv2`` has run, so it is freed before the gate allocates.
     """
 
     name: str
@@ -229,16 +233,21 @@ class Mlp(_Op):
     gate_map: PatSpParams | None
 
     def __call__(self, x, skip):
-        h = T.conv2d(x, self.conv1)
-        if self.bn is not None:
-            h = T.batch_norm_infer(h, self.bn)
-        m = T.conv2d(T.activation(h, self.act), self.conv2)
+        m = T.conv2d(self._hidden(x), self.conv2)
         if self.gate is None:
             return m
         if self.gate_map is not None:
             return B.pat_sp_forward(m, self.gate_map, self.gate)
         c = self.gate.c_total
         return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate)
+
+    def _hidden(self, x):
+        # ``out`` goes by position, so a wrapper that passes on only
+        # positional arguments still sees every call
+        h = T.conv2d(x, self.conv1)
+        if self.bn is not None:
+            T.batch_norm_infer(h, self.bn, h)
+        return T.activation(h, self.act, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,6 +399,7 @@ def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
 # forward pass
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _keep_freed_heap() -> None:
     """Keep the memory a forward frees mapped for the next forward.
 
@@ -402,8 +412,8 @@ def _keep_freed_heap() -> None:
     are still mapped and unmapped on their own. One arena serves every
     thread, so the batch-split pool threads reuse the same retained heap
     instead of growing an arena of their own (about 9 MB more peak RSS
-    over 20 forwards of T2 at batch 8). Process-wide; a no-op where the C
-    library has no ``mallopt``.
+    over 20 forwards of T2 at batch 8). Process-wide, so set once per
+    process; a no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -419,11 +429,11 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     """Run the classifier end to end; returns (n, num_classes) logits.
 
     The first call for ``store`` (or for another ``spec``) builds its plan
-    and keeps it on ``store.plan``; later calls only run it. Building a plan
-    also sets the process's heap policy (``_keep_freed_heap``). A batch of
-    two or more runs with its kernels split across the engine's threads
-    (``tensor_ops._split_batches``); the logits are bitwise those of a
-    serial forward.
+    and keeps it on ``store.plan``; later calls only run it. The first plan
+    built in the process also sets its heap policy (``_keep_freed_heap``).
+    A batch of two or more runs with its kernels split across the engine's
+    threads (``tensor_ops._split_batches``); the logits are bitwise those
+    of a serial forward.
     """
     T.check_tensor4(x, "model input")
     n, c, h, w = x.shape

@@ -182,22 +182,26 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 def _conv3x3_taps(x: np.ndarray, weight: np.ndarray, adds: tuple,
                   out: np.ndarray) -> None:
-    """3x3, stride 1, pad 1, into ``out``: one GEMM of the (9 * out, in)
-    tap-major ``weight`` against the unpadded input yields all nine tap
-    images, then the eight off-centre taps ``adds`` lists are added into the
-    centre one over their valid overlap, which is exactly the zero-padded
-    result without a padded copy."""
+    """3x3, stride 1, pad 1, into ``out``, one image at a time: one GEMM of
+    the (9 * out, in) tap-major ``weight`` against the unpadded image yields
+    all nine tap images, then the eight off-centre taps ``adds`` lists are
+    added into the centre one over their valid overlap, which is exactly the
+    zero-padded result without a padded copy. The nine-fold scratch holds
+    one image, not the whole batch."""
     n, c, h, w = x.shape
     g, nine_og, cg = weight.shape
     og = nine_og // 9
-    taps = np.matmul(weight, x.reshape(n, g, cg, h * w)).reshape(n, g, 9, og, h * w)
-    o = out.reshape(n, g, og, h * w)
-    np.copyto(o, taps[:, :, 4])
-    for t, dead, a, b, off in adds:
-        tap = taps[:, :, t]
-        if dead is not None:
-            tap.reshape(n, g, og, h, w)[..., dead] = 0
-        np.add(o[..., a:b], tap[..., a + off : b + off], out=o[..., a:b])
+    scratch = np.empty((g, nine_og, h * w), out.dtype)
+    taps = scratch.reshape(g, 9, og, h * w)
+    for i in range(n):  # the nine tap images of one image at a time
+        np.matmul(weight, x[i].reshape(g, cg, h * w), out=scratch)
+        o = out[i].reshape(g, og, h * w)
+        np.copyto(o, taps[:, 4])
+        for t, dead, a, b, off in adds:
+            tap = taps[:, t]
+            if dead is not None:
+                tap.reshape(g, og, h, w)[..., dead] = 0
+            np.add(o[..., a:b], tap[..., a + off : b + off], out=o[..., a:b])
 
 
 @lru_cache(maxsize=32)
@@ -257,8 +261,10 @@ def _conv_im2col(x: np.ndarray, p: ConvParams, out: np.ndarray) -> None:
     np.copyto(out.reshape(n, g, p.out_ch // g, oh * ow), res.transpose(0, 1, 3, 2))
 
 
-def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
-    """Per-channel affine normalization with frozen statistics."""
+def batch_norm_infer(x: np.ndarray, p: BnParams,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel affine normalization with frozen statistics, into ``out``
+    (which may be ``x``) or a new array."""
     check_tensor4(x, "batch_norm input")
     if x.shape[1] != p.channels:
         raise ShapeError(
@@ -266,7 +272,7 @@ def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
     scale = (p.gamma / np.sqrt(p.running_var + p.eps)).astype(x.dtype, copy=False)
     shift = (p.beta - p.running_mean * scale).astype(x.dtype, copy=False)
     scale, shift = scale.reshape(1, -1, 1, 1), shift.reshape(1, -1, 1, 1)
-    out = np.empty(x.shape, np.result_type(x, scale))
+    out = _output_like(x, out)
 
     def part(lo, hi):
         np.multiply(x[lo:hi], scale, out=out[lo:hi])
@@ -276,8 +282,8 @@ def batch_norm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = _output_like(x, out)
     _over_batch(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), len(x))
     return out
 
@@ -290,23 +296,26 @@ _AS_HALF_COEFFS = tuple(0.5 * a for a in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """GELU in its erf form, x * Phi(x), not the tanh approximation.
 
     Evaluated as max(x, 0) - 0.5 * |x| * erfc(|x| / sqrt 2), which equals
     0.5 * x * (1 + erf(x / sqrt 2)) for either sign of x and never subtracts
     two nearly equal numbers. erfc is the A&S 7.1.26 fit, computed with
-    in-place ufuncs into the output and two scratch buffers. In float32 the
-    result is within 1e-6 of the exact function, and gelu(0) == 0 exactly.
+    in-place ufuncs over three scratch buffers, into ``out`` (which may be
+    ``x``) or a new array. In float32 the result is within 1e-6 of the exact
+    function, and gelu(0) == 0 exactly.
     """
-    out = np.empty_like(x)
+    out = _output_like(x, out)
     _over_batch(lambda lo, hi: _gelu_into(x[lo:hi], out[lo:hi]), len(x))
     return out
 
 
-def _gelu_into(x: np.ndarray, a: np.ndarray) -> None:
+def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
+    # |x| lives in scratch, not in ``out``: ``x`` is read until the last
+    # step, and ``out`` may be ``x``
     dt = x.dtype.type
-    np.abs(x, out=a)
+    a = np.abs(x)
     t = np.multiply(a, dt(_AS_P))
     t += 1
     np.reciprocal(t, out=t)
@@ -320,8 +329,8 @@ def _gelu_into(x: np.ndarray, a: np.ndarray) -> None:
     np.exp(t, out=t)
     q *= t
     q *= a  # 0.5 * |x| * erfc(|x| / sqrt 2)
-    np.maximum(x, 0, out=a)
-    a -= q
+    np.maximum(x, 0, out=out)
+    out -= q
 
 
 def hard_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -334,14 +343,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
+def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """``kind`` of ``x``, into ``out`` (which may be ``x``) or a new array."""
     if kind == "relu":
-        return relu(x)
+        return relu(x, out=out)
     if kind == "gelu":
-        return gelu(x)
+        return gelu(x, out=out)
     if kind == "hard_sigmoid":
-        return hard_sigmoid(x)
+        if out is None:
+            return hard_sigmoid(x)
+        np.copyto(_output_like(x, out), hard_sigmoid(x))
+        return out
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
+
+
+def _output_like(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out``, checked to match ``x`` in shape and dtype, or a new array
+    like ``x``."""
+    if out is None:
+        return np.empty_like(x)
+    if out.shape != x.shape or out.dtype != x.dtype:
+        raise ShapeError(f"out {out.shape} {out.dtype} does not match "
+                         f"input {x.shape} {x.dtype}")
+    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -7,12 +7,13 @@ Layout (all integers little-endian):
                 | u8 ndim | ndim x u32 dims | raw float32 payload
     u32 CRC-32 (IEEE) of every preceding byte
 
-Round trips are bitwise lossless. Loading streams the file once: each
-payload is read straight into its tensor while a running CRC-32 covers every
-byte. It validates magic, version, checksum and layout, and, unless an
-explicit spec is supplied, matches the tensor names and shapes against the
-known variants to recover which model (and whether it was fused) the file
-holds.
+Round trips are bitwise lossless. Both directions stream the file once
+under a running CRC-32 that covers every byte: saving writes each payload
+from its tensor's own buffer, loading reads each payload straight into its
+tensor. Loading validates magic, version, checksum and layout, and, unless
+an explicit spec is supplied, matches the tensor names and shapes against
+the known variants to recover which model (and whether it was fused) the
+file holds.
 """
 
 from __future__ import annotations
@@ -56,18 +57,11 @@ class NameSetError(WeightFileError):
 
 
 def serialize_store(store: ParamStore) -> bytes:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(store.tensors))]
-    for name, tensor in store.tensors.items():
-        raw = name.encode("utf-8")
-        if tensor.dtype != np.float32:
-            raise WeightFileError(f"tensor {name} is not float32")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<BB", DTYPE_F32, tensor.ndim))
-        parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        parts.append(np.ascontiguousarray(tensor).astype("<f4").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", _crc32()(body))
+    """The bytes of the PATW file ``save_weights`` would write."""
+    _check_float32(store)
+    buf = io.BytesIO()
+    _write_store(buf, store)
+    return buf.getvalue()
 
 
 def expected_file_size(store: ParamStore) -> int:
@@ -80,8 +74,42 @@ def expected_file_size(store: ParamStore) -> int:
 
 
 def save_weights(store: ParamStore, path) -> None:
+    """Write ``store`` to ``path`` as a PATW file, streamed: every payload
+    goes to the file from the tensor's own buffer, so no copy of the file is
+    built in memory. A tensor that is not float32 raises ``WeightFileError``
+    before the file is created."""
+    _check_float32(store)
     with open(path, "wb") as fh:
-        fh.write(serialize_store(store))
+        _write_store(fh, store)
+
+
+def _check_float32(store: ParamStore) -> None:
+    for name, tensor in store.tensors.items():
+        if tensor.dtype != np.float32:
+            raise WeightFileError(f"tensor {name} is not float32")
+
+
+def _write_store(fh, store: ParamStore) -> None:
+    """Write the float32 tensors of ``store`` as a PATW file through ``fh``,
+    in one pass under a running CRC-32; the mirror of ``_read_store``. Each
+    payload is written from the tensor's own buffer when it is contiguous
+    and little-endian, else from one little-endian copy of that tensor."""
+    crc = 0
+
+    def put(data, crc32=zlib.crc32):
+        nonlocal crc
+        fh.write(data)
+        crc = crc32(data, crc)
+
+    put(MAGIC + struct.pack("<II", VERSION, len(store.tensors)))
+    for name, tensor in store.tensors.items():
+        raw = name.encode("utf-8")
+        put(struct.pack("<H", len(raw)) + raw
+            + struct.pack(f"<BB{tensor.ndim}I", DTYPE_F32, tensor.ndim, *tensor.shape))
+        # a flat byte view: 0-d and empty tensors included, which memoryview.cast refuses
+        payload = np.ascontiguousarray(tensor, "<f4").reshape(-1).view(np.uint8)
+        put(payload, zlib.crc32 if payload.size < _Body.SMALL else _crc32())
+    fh.write(struct.pack("<I", crc))
 
 
 @lru_cache(maxsize=1)

@@ -1,6 +1,7 @@
 import dataclasses
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +333,20 @@ class TestPlan:
         model_forward(spec, store, x)
         # about 800 when the heap is handed back after every forward
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_batched_forward_keeps_one_copy_of_each_activation(self):
+        # BN and activations overwrite their conv's output, the hidden MLP
+        # tensor is freed before the gate allocates, and the 3x3 tap scratch
+        # exists per image: T2 fused at batch 8 and 160 x 160 peaks at
+        # 15.7 MB, against 22.0 MB when each of those kept a second buffer
+        spec = build_variant("T2", input_size=160)
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
+        model_forward(spec, store, x)  # build the plan outside the measurement
+        tracemalloc.start()
+        try:
+            model_forward(spec, store, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 << 20

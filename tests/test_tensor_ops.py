@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patnet import reference as ref
+from patnet import tensor_ops
 from patnet.tensor_ops import (
     EPS_STAT,
     BnParams,
@@ -15,8 +16,10 @@ from patnet.tensor_ops import (
     batch_norm_infer,
     channel_stats,
     conv2d,
+    gelu,
     global_avg_pool,
     matmul,
+    relu,
     sigmoid,
     softmax_rows,
 )
@@ -184,6 +187,50 @@ class TestActivations:
         y = activation(np.array(vals, np.float32).reshape(1, 1, 1, -1),
                        "hard_sigmoid")
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
+
+
+class TestInPlace:
+    """BN and the activations write into ``out``, which may be their input,
+    with the bits of the out-of-place call."""
+
+    BN = BnParams(np.linspace(0.5, 1.5, 6, dtype=np.float32),
+                  np.linspace(-0.2, 0.2, 6, dtype=np.float32),
+                  np.linspace(-1.0, 1.0, 6, dtype=np.float32),
+                  np.linspace(0.5, 2.0, 6, dtype=np.float32))
+    KERNELS = {
+        "relu": lambda x, out: relu(x, out=out),
+        "gelu": lambda x, out: gelu(x, out=out),
+        "batch_norm": lambda x, out: batch_norm_infer(x, TestInPlace.BN, out=out),
+        "activation-relu": lambda x, out: activation(x, "relu", out=out),
+        "activation-gelu": lambda x, out: activation(x, "gelu", out=out),
+        "activation-hard_sigmoid": lambda x, out: activation(x, "hard_sigmoid", out=out),
+    }
+
+    @pytest.mark.parametrize("armed", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not tensor_ops._split_ready(), reason="the batch split cannot run here"))],
+        ids=["serial", "split"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_out_is_x_bitwise_out_of_place(self, rng, kernel, dtype, armed):
+        fn = self.KERNELS[kernel]
+        x = (rng.standard_normal((5, 6, 7, 9)) * 3).astype(dtype)
+        x[0, 0, 0, :5] = [0.0, -0.0, 40.0, -40.0, 1e30]  # gelu's exp underflow and x^2 = inf
+        with tensor_ops._split_batches(len(x) if armed else 1):
+            assert (tensor_ops._split_thread is not None) == armed
+            expected = fn(x, None)
+            y = x.copy()
+            got = fn(y, y)
+        assert got is y and got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_out_must_match_the_input(self):
+        x = np.ones((2, 6, 3, 3), np.float32)
+        for out in (np.empty((2, 6, 3, 4), np.float32), np.empty(x.shape, np.float64)):
+            for fn in self.KERNELS.values():
+                with pytest.raises(ShapeError, match="does not match"):
+                    fn(x, out)
 
 
 class TestPoolingAndStats:

@@ -343,6 +343,43 @@ class TestStreamedLoad:
             assert loaded[name].tobytes() == tensor.tobytes()
 
 
+class TestStreamedSave:
+    def test_save_peak_memory_is_a_fraction_of_the_file_size(self, t0_store, tmp_path):
+        # building the file in memory first peaked at about 2.9x its size
+        path = tmp_path / "t0.patw"
+        save_weights(t0_store[1], path)  # pick the CRC-32 outside the measurement
+        tracemalloc.start()
+        try:
+            save_weights(t0_store[1], path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * path.stat().st_size
+
+    def test_non_float32_store_raises_and_creates_no_file(self, tmp_path):
+        path = tmp_path / "bad.patw"
+        store = ParamStore(tensors={"a": np.zeros(3, np.float32),
+                                    "b": np.zeros(2, np.float64)})
+        with pytest.raises(WeightFileError, match="not float32"):
+            save_weights(store, path)
+        assert not path.exists()
+        with pytest.raises(WeightFileError, match="not float32"):
+            serialize_store(store)
+
+    def test_file_and_blob_bytes_agree_for_any_layout(self, tmp_path):
+        # non-contiguous, 0-d and empty tensors are written as their float32 values
+        base = np.arange(24, dtype=np.float32).reshape(4, 6)
+        store = ParamStore(tensors={"t": base.T, "s": base[:, ::2],
+                                    "e": np.float32(2.5).reshape(()),
+                                    "z": np.empty((0, 3), np.float32)})
+        path = tmp_path / "v.patw"
+        save_weights(store, path)
+        assert path.read_bytes() == serialize_store(store)
+        loaded = deserialize_store(path.read_bytes())
+        for name, tensor in store.tensors.items():
+            assert np.array_equal(loaded[name], tensor) and loaded[name].shape == tensor.shape
+
+
 @pytest.mark.skipif(weights._crc32() is zlib.crc32, reason="libdeflate not found")
 class TestLibdeflateCrc:
     @settings(max_examples=60, deadline=None)
