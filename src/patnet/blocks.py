@@ -95,14 +95,17 @@ class PatChParams:
 
 
 def gaussian_se_gate(x_u: np.ndarray, p: PatChParams) -> np.ndarray:
-    """Per-(n, c) gate in (0, 1) computed from channel mean and std."""
+    """Per-(n, c) gate in (0, 1) computed from channel mean and std.
+
+    Each image is its own one-row GEMM, ``(n, 1, k) @ (k, m)``, so its gate
+    has the same bits at every batch size."""
     mean, std = channel_stats(x_u)
-    z = np.concatenate([mean, std], axis=1)
-    if p.se_w1.shape[1] != z.shape[1]:
+    z = np.concatenate([mean, std], axis=1)[:, None]
+    if p.se_w1.shape[1] != z.shape[2]:
         raise ShapeError(
-            f"se gate: stats width {z.shape[1]} != se_w1 input {p.se_w1.shape[1]}")
+            f"se gate: stats width {z.shape[2]} != se_w1 input {p.se_w1.shape[1]}")
     h = relu(matmul(z, p.se_w1.T) + p.se_b1.astype(z.dtype, copy=False))
-    return sigmoid(matmul(h, p.se_w2.T) + p.se_b2.astype(z.dtype, copy=False))
+    return sigmoid(matmul(h, p.se_w2.T) + p.se_b2.astype(z.dtype, copy=False))[:, 0]
 
 
 def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray:

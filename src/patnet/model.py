@@ -270,7 +270,8 @@ class Residual(_Op):
 @dataclass(frozen=True, eq=False)
 class Head(_Op):
     """Global average pool, hidden fully-connected layer, activation and the
-    classifier."""
+    classifier. Each image is its own one-row GEMM, ``(n, 1, k) @ (k, m)``,
+    so its logits have the same bits at every batch size."""
 
     name: str
     macs: int
@@ -281,9 +282,9 @@ class Head(_Op):
     act: str
 
     def __call__(self, x, skip):
-        pooled = T.global_avg_pool(x)  # (n, c4)
+        pooled = T.global_avg_pool(x)[:, None]  # (n, 1, c4)
         hidden = T.activation(T.matmul(pooled, self.conv_w.T) + self.conv_b, self.act)
-        return T.matmul(hidden, self.fc_w.T) + self.fc_b
+        return (T.matmul(hidden, self.fc_w.T) + self.fc_b)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +434,7 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     built in the process also sets its heap policy (``_keep_freed_heap``).
     A batch of two or more runs with its kernels split across the engine's
     threads (``tensor_ops._split_batches``); the logits are bitwise those
-    of a serial forward.
+    of a serial forward, and each image's row is bitwise its batch-1 logits.
     """
     T.check_tensor4(x, "model input")
     n, c, h, w = x.shape

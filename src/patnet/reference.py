@@ -117,3 +117,35 @@ def matmul_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+def bilinear_resize_naive(x: np.ndarray, out_h: int, out_w: int,
+                          crop: int | None = None) -> np.ndarray:
+    """Half-pixel-center bilinear resize of a float32 (n, c, h, w) tensor,
+    one output element at a time in float32 scalars. Source coordinates are
+    computed in float64 and each fraction rounded to float32 once; the blend
+    is ``((a00 gx + a01 fx) gy) + ((a10 gx + a11 fx) fy)`` in that order.
+    With ``crop``, only the centered crop x crop window is returned."""
+    n, c, h, w = x.shape
+    top, left, oh, ow = 0, 0, out_h, out_w
+    if crop is not None:
+        top, left, oh, ow = (out_h - crop) // 2, (out_w - crop) // 2, crop, crop
+
+    def coord(i, out_n, in_n):
+        s = min(max((i + 0.5) * (in_n / out_n) - 0.5, 0.0), in_n - 1.0)
+        lo = math.floor(s)
+        f = np.float32(s - lo)
+        return lo, min(lo + 1, in_n - 1), f, np.float32(1) - f
+
+    out = np.empty((n, c, oh, ow), np.float32)
+    for oy in range(oh):
+        y0, y1, fy, gy = coord(top + oy, out_h, h)
+        for ox in range(ow):
+            x0, x1, fx, gx = coord(left + ox, out_w, w)
+            for ni in range(n):
+                for ci in range(c):
+                    p = x[ni, ci]
+                    a = (p[y0, x0] * gx + p[y0, x1] * fx) * gy
+                    b = (p[y1, x0] * gx + p[y1, x1] * fx) * fy
+                    out[ni, ci, oy, ox] = a + b
+    return out

@@ -15,6 +15,7 @@ from patnet.imageio import (
     preprocess,
     save_ppm,
 )
+from patnet.reference import bilinear_resize_naive
 
 
 def write_ppm(path, pixels, header=b"P6", maxval=255, comment=False):
@@ -81,6 +82,30 @@ class TestLoadPpm:
         with pytest.raises(ImageFormatError, match="empty"):
             load_ppm(p)
 
+    def test_decodes_into_contiguous_planes(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
+        p = tmp_path / "d.ppm"
+        p.write_bytes(ppm_bytes(7, 5, pixels.tobytes()))
+        img = load_ppm(p)
+        assert img.shape == (1, 3, 5, 7) and img.dtype == np.float32
+        assert img.flags.c_contiguous
+        expected = pixels.transpose(2, 0, 1).astype(np.float32)
+        expected /= np.float32(255.0)
+        assert img[0].tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.ppm"
+        p.write_bytes(b"P6\n60000 60000\n255\n\x00")
+        assert p.stat().st_size == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="truncated"):
+                load_ppm(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the float image it claims would take 43 GB
+
     def test_save_load_round_trip(self, tmp_path, rng):
         img = (rng.integers(0, 256, (1, 3, 5, 7)) / 255.0).astype(np.float32)
         p = tmp_path / "r.ppm"
@@ -105,6 +130,26 @@ class TestResize:
                          + x[0, ci, y1, x0] * fy * (1 - fx)
                          + x[0, ci, y1, x1] * fy * fx)
                     assert out[0, ci, oy, ox] == pytest.approx(v, abs=1e-6)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "hwc"])
+    @pytest.mark.parametrize("n,c,hw,out_hw,crop", [
+        (1, 3, (5, 7), (11, 13), None),  # upscale
+        (2, 4, (17, 13), (6, 5), None),  # downscale
+        (2, 1, (9, 12), (7, 16), 5),  # mixed, small crop
+        (1, 3, (1, 7), (4, 9), 3),  # one source row
+        (2, 4, (9, 1), (12, 5), 4),  # one source column
+        (1, 1, (1, 1), (3, 3), None),
+        (2, 3, (6, 40), (30, 4), None),  # rows up, columns down: columns first
+        (1, 4, (3, 30), (20, 6), 5),  # the same with a crop
+    ])
+    def test_bitwise_equal_to_loop_oracle(self, rng, layout, n, c, hw, out_hw, crop):
+        x = rng.standard_normal((n, c, *hw)).astype(np.float32)
+        if layout == "hwc":  # the strides of an image decoded channel-last
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        out = bilinear_resize(x, *out_hw, crop)
+        expected = bilinear_resize_naive(x, *out_hw, crop)
+        assert out.flags.c_contiguous
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_identity_when_same_size(self, rng):
         x = rng.standard_normal((1, 3, 6, 6)).astype(np.float32)
@@ -164,6 +209,32 @@ class TestPreprocess:
             tracemalloc.stop()
         assert out.shape == (1, 3, 224, 224) and np.all(np.isfinite(out))
         assert peak < 16 << 20  # the full 1x32 resize alone peaked at 95 MB
+
+    # tracemalloc peaks of preprocess(load_ppm(p)) for these files when the
+    # resize gathered rows and columns in one 2-D step from an image that kept
+    # the file's channel-last strides: 10.56 MiB. Now the 8.2 MiB float image
+    # beside the file's 2.1 MiB of bytes sets the peak, at 10.30 MiB.
+    @pytest.mark.parametrize("width,height,bound", [(731, 982, 11_071_398),
+                                                    (982, 731, 11_069_352)])
+    def test_memory_peak_of_a_photo_sized_image(self, tmp_path, width, height, bound):
+        path = tmp_path / "photo.ppm"
+        path.write_bytes(ppm_bytes(width, height, bytes(range(256)) * (3 * width * height // 256)
+                                   + bytes(3 * width * height % 256)))
+        tracemalloc.start()
+        try:
+            img = load_ppm(path)
+            loaded, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = preprocess(img)
+            added = tracemalloc.get_traced_memory()[1] - loaded
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 3, 224, 224) and out.flags.c_contiguous
+        assert max(load_peak, loaded + added) <= bound
+        # the output (0.57 MiB), two scratch planes of the output's size
+        # (0.38 MiB) and one gathered set of 224 source rows of about 660
+        # pixels (0.57 MiB): a second row set alive would add 0.57 MiB
+        assert added < 1.75 * 2**20
 
     def test_crop_window_is_centered(self):
         # a bright dot at the exact center survives the crop at the center

@@ -350,3 +350,40 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 19 << 20
+
+
+def perturbed(store: ParamStore, seed: int) -> ParamStore:
+    """Non-zero biases and position tables, BN away from identity."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, t in store.tensors.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("bias", "b1", "b2", "bq", "bk", "bv", "bo", "rpe", "beta", "mean"):
+            t = rng.normal(0.0, 0.2, t.shape).astype(np.float32)
+        elif leaf in ("gamma", "var"):
+            t = rng.uniform(0.5, 1.5, t.shape).astype(np.float32)
+        tensors[name] = t
+    return ParamStore(tensors=tensors)
+
+
+class TestBatchInvariance:
+    """An image's logits do not depend on the batch it is sent in."""
+
+    # at 224 the pat_sf projections of a batch slice run as one GEMM; at 64
+    # they run per image (see blocks._SMALL_GEMM_MACS)
+    @pytest.mark.parametrize("variant,size", [("T0", 224), ("T2", 224), ("T0", 64)])
+    def test_each_row_is_bitwise_its_batch_1_forward(self, monkeypatch, variant, size):
+        spec = build_variant(variant, input_size=size)
+        store = perturbed(init_params(spec, seed=3), seed=3)
+        fused, _ = fuse_model(store, spec)
+        x = np.random.default_rng(4).standard_normal((8, 3, size, size), dtype=np.float32)
+        for s in (store, fused):
+            single = [model_forward(spec, s, x[i : i + 1]).tobytes() for i in range(8)]
+            for pool in ("armed", None):
+                if pool is None:
+                    monkeypatch.setattr(tensor_ops, "_POOL", None)
+                for n in (3, 8):
+                    rows = model_forward(spec, s, x[:n])
+                    assert [rows[i : i + 1].tobytes() for i in range(n)] == single[:n], (
+                        s.fused, pool, n)
+            monkeypatch.undo()
