@@ -99,8 +99,8 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
     if crop is not None:
         if out_h < crop or out_w < crop:
             raise ShapeError(f"image {out_h}x{out_w} smaller than crop {crop}")
-        top, left = (out_h - crop) // 2, (out_w - crop) // 2
-        rows, cols = (top, top + crop), (left, left + crop)
+        row0, col0 = (out_h - crop) // 2, (out_w - crop) // 2
+        rows, cols = (row0, row0 + crop), (col0, col0 + crop)
 
     def axis_coords(span, out_n, in_n):
         src = (np.arange(*span, dtype=np.float64) + 0.5) * (in_n / out_n) - 0.5
