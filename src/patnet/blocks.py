@@ -98,7 +98,7 @@ def gaussian_se_gate(x_u: np.ndarray, p: PatChParams) -> np.ndarray:
     """Per-(n, c) gate in (0, 1) computed from channel mean and std.
 
     Each image is its own one-row GEMM, ``(n, 1, k) @ (k, m)``, so its gate
-    has the same bits at every batch size."""
+    is computed as at batch 1 (see ``model.model_forward``)."""
     mean, std = channel_stats(x_u)
     z = np.concatenate([mean, std], axis=1)[:, None]
     if p.se_w1.shape[1] != z.shape[2]:

@@ -66,12 +66,10 @@ def load_ppm(path) -> np.ndarray:
     raw = memoryview(blob)[pos : pos + width * height * 3]
     if len(raw) != width * height * 3:
         raise ImageFormatError("pixel payload truncated")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    # one pass from the interleaved bytes into contiguous planes, bitwise
-    # ``astype(np.float32)`` followed by ``/= 255``
-    img = np.empty((1, 3, height, width), np.float32)
-    np.divide(pixels.transpose(2, 0, 1), np.float32(255.0), out=img[0])
-    return img
+    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
+    chw = img.transpose(2, 0, 1).astype(np.float32)
+    chw /= np.float32(255.0)
+    return chw[None]
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
@@ -84,13 +82,14 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
     bounded by the window, not by the resized image, which a thin input
     makes arbitrarily large.
 
-    Each plane is resampled separably: the source rows the output reads are
-    gathered first (its columns, where that is smaller), then the output's
-    columns (rows) from them, one source row (column) set at a time, so no
-    intermediate is larger than one source plane or the output plane.
-    Every output element goes through the same float operations in the same
-    order as the one-step formula ``((a00 gx + a01 fx) gy) + ((a10 gx + a11
-    fx) fy)``, where ``gx = 1 - fx`` and ``gy = 1 - fy``.
+    Each plane is resampled separably: the output's source rows are gathered
+    from the window of columns it reads, then the output's columns from
+    them, one source row set at a time. For ``preprocess``'s resizes, which
+    keep the aspect ratio, that row set holds about as many values as the
+    larger of the source window and the output plane. Every output element goes through the same float
+    operations in the same order as the one-step formula ``((a00 gx + a01
+    fx) gy) + ((a10 gx + a11 fx) fy)``, where ``gx = 1 - fx`` and
+    ``gy = 1 - fy``.
     """
     n, c, h, w = x.shape
     if out_h < 1 or out_w < 1:
@@ -112,17 +111,10 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
 
     y0, y1, fy = axis_coords(rows, out_h, h)
     x0, x1, fx = axis_coords(cols, out_w, w)
-    # only the source window of rows y0[0]..y1[-1] and columns x0[0]..x1[-1]
-    # is read. Gathering its rows first is the faster order; its intermediate
-    # (out rows x window columns) is larger than both the window and the
-    # output only when rows are upsampled and columns downsampled, where the
-    # columns-first intermediate is smaller than both.
-    ys, xs = slice(y0[0], y1[-1] + 1), slice(x0[0], x1[-1] + 1)
-    rows_first = len(y0) <= ys.stop - ys.start or xs.stop - xs.start <= len(x0)
-    if rows_first:  # the second gather indexes within the window
-        x0, x1 = x0 - xs.start, x1 - xs.start
-    else:
-        y0, y1 = y0 - ys.start, y1 - ys.start
+    # only source columns x0[0]..x1[-1] are read; the second gather indexes
+    # within that window
+    xs = slice(x0[0], x1[-1] + 1)
+    x0, x1 = x0 - xs.start, x1 - xs.start
     gx, gy, fy = 1 - fx, (1 - fy)[:, None], fy[:, None]
     dt = np.result_type(x.dtype, fx.dtype)
     out = np.empty((n, c, len(y0), len(x0)), dt)
@@ -130,34 +122,20 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
     for i in range(n):
         for j in range(c):
             top = out[i, j]
-            if rows_first:  # one source row set alive at a time
-                plane = x[i, j, :, xs]
-                for y, acc in ((y0, top), (y1, bot)):
-                    _add_gathered(plane[y], 1, ((x0, gx, acc, True), (x1, fx, acc, False)),
-                                  tmp, dt)
-            else:  # one source column set alive at a time, gathered row by row
-                plane = x[i, j, ys]
-                for xi, f, first in ((x0, gx, True), (x1, fx, False)):
-                    _add_gathered(np.take(plane, xi, 1), 0,
-                                  ((y0, f, top, first), (y1, f, bot, first)), tmp, dt)
+            plane = x[i, j, :, xs]
+            for y, acc in ((y0, top), (y1, bot)):
+                part = plane[y].astype(dt, copy=False)
+                # every index is in range; a non-raising mode writes out= unbuffered
+                np.take(part, x0, 1, acc, "wrap")
+                acc *= gx
+                np.take(part, x1, 1, tmp, "wrap")
+                tmp *= fx
+                acc += tmp
+                del part  # one source row set alive at a time
             top *= gy
             bot *= fy
             top += bot
     return out.astype(x.dtype, copy=False)
-
-
-def _add_gathered(part, axis, terms, tmp, dt):
-    """For each ``(idx, weight, acc, first)`` of ``terms``: ``acc =
-    part[idx] * weight`` along ``axis`` when ``first``, else ``acc +=
-    part[idx] * weight``, with ``tmp`` holding the product."""
-    part = part.astype(dt, copy=False)
-    for idx, weight, acc, first in terms:
-        dst = acc if first else tmp
-        # every index is in range; a non-raising mode writes dst unbuffered
-        np.take(part, idx, axis, dst, "wrap")
-        dst *= weight
-        if not first:
-            acc += tmp
 
 
 def center_crop(x: np.ndarray, size: int) -> np.ndarray:

@@ -271,7 +271,7 @@ class Residual(_Op):
 class Head(_Op):
     """Global average pool, hidden fully-connected layer, activation and the
     classifier. Each image is its own one-row GEMM, ``(n, 1, k) @ (k, m)``,
-    so its logits have the same bits at every batch size."""
+    so its logits are computed as at batch 1 (see ``model_forward``)."""
 
     name: str
     macs: int
@@ -434,7 +434,11 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     built in the process also sets its heap policy (``_keep_freed_heap``).
     A batch of two or more runs with its kernels split across the engine's
     threads (``tensor_ops._split_batches``); the logits are bitwise those
-    of a serial forward, and each image's row is bitwise its batch-1 logits.
+    of a serial forward. Each image's row is bitwise its batch-1 logits
+    where numpy runs a stacked ``(n, 1, k) @ (k, m)`` matmul one image at a
+    time and OpenBLAS's SGEMM above 2^20 MACs gives rows whose bits do not
+    depend on the row count (``blocks._SMALL_GEMM_MACS``); checked with
+    numpy 2.4 and OpenBLAS 0.3.31 on its SkylakeX kernels.
     """
     T.check_tensor4(x, "model input")
     n, c, h, w = x.shape

