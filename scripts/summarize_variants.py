@@ -7,6 +7,7 @@ Usage: python3 scripts/summarize_variants.py [--input-size 224]
 import argparse
 
 from patnet.config import (
+    ABLATION_MODES,
     REFERENCE_FLOPS_G,
     REFERENCE_PARAMS_M,
     VARIANT_TABLE,
@@ -38,8 +39,7 @@ def main():
     print()
     t2 = build_variant("T2", args.input_size)
     print("T2 study arms:")
-    for mode in ("full_ch", "full_sp", "full_sf", "no_patch", "no_patsp",
-                 "no_patsf", "conv_dense", "conv_dw", "depths_2284"):
+    for mode in ABLATION_MODES:
         row(f"  {mode}", build_ablation(t2, mode), hw)
 
 

@@ -1,8 +1,10 @@
 """Variant configurations and the layer-level model description.
 
-A ``ModelSpec`` is the single source of truth for everything downstream:
-parameter schema, initialization, forward pass, counting, fusion and
-serialization all walk the same block list.
+A ``ModelSpec`` is the resolved block list of one model: widths, mixers,
+split points and depths. It names no tensors; the lowering in ``model.py``
+turns it into stored tensors and plan ops, and everything downstream
+(initialization, forward pass, counting, fusion, serialization) works from
+that lowering.
 """
 
 from __future__ import annotations
@@ -212,113 +214,3 @@ def _widen_for_dwconv(spec: ModelSpec) -> ModelSpec:
         stages.append(tuple(out_blocks))
     return dataclasses.replace(spec, stage_channels=tuple(widths),
                                stages=tuple(stages))
-
-
-@dataclass(frozen=True)
-class ParamDef:
-    """Name, shape and initializer of one stored tensor."""
-
-    name: str
-    shape: tuple[int, ...]
-    init: str  # normal | zeros | ones
-    fan_in: int = 0
-
-
-def _conv_def(name: str, out_ch: int, in_ch: int, k: int, groups: int = 1):
-    return ParamDef(f"{name}.weight", (out_ch, in_ch // groups, k, k), "normal",
-                    fan_in=(in_ch // groups) * k * k)
-
-
-def _bn_defs(name: str, c: int):
-    yield ParamDef(f"{name}.gamma", (c,), "ones")
-    yield ParamDef(f"{name}.beta", (c,), "zeros")
-    yield ParamDef(f"{name}.mean", (c,), "zeros")
-    yield ParamDef(f"{name}.var", (c,), "ones")
-
-
-def iter_param_schema(spec: ModelSpec, fused: bool = False):
-    """Yield the full parameter schema in a fixed traversal order.
-
-    The same generator drives initialization, exact parameter counting and
-    weight-file validation, so the three can never drift apart.
-    """
-    from .blocks import se_hidden_width  # local to avoid a cycle
-
-    c1 = spec.stage_channels[0]
-    yield _conv_def("embed.conv", c1, 3, 4)
-    if fused:
-        yield ParamDef("embed.conv.bias", (c1,), "zeros")
-    else:
-        yield from _bn_defs("embed.bn", c1)
-
-    h4, w4 = spec.final_hw
-    for si, blocks in enumerate(spec.stages, start=1):
-        if si > 1:
-            cin = spec.stage_channels[si - 2]
-            cout = spec.stage_channels[si - 1]
-            yield _conv_def(f"merge{si - 1}.conv", cout, cin, 2)
-            if fused:
-                yield ParamDef(f"merge{si - 1}.conv.bias", (cout,), "zeros")
-            else:
-                yield from _bn_defs(f"merge{si - 1}.bn", cout)
-        for bi, b in enumerate(blocks):
-            prefix = f"stage{si}.block{bi}"
-            c = b.channels
-            if b.mixer == "pat_ch":
-                if b.mixer_cp > 0:
-                    yield _conv_def(f"{prefix}.patch.conv3", b.mixer_cp, b.mixer_cp, 3)
-                c_u = c - b.mixer_cp
-                if c_u > 0:
-                    hid = se_hidden_width(c_u)
-                    yield ParamDef(f"{prefix}.patch.se.w1", (hid, 2 * c_u),
-                                   "normal", fan_in=2 * c_u)
-                    yield ParamDef(f"{prefix}.patch.se.b1", (hid,), "zeros")
-                    yield ParamDef(f"{prefix}.patch.se.w2", (c_u, hid),
-                                   "normal", fan_in=hid)
-                    yield ParamDef(f"{prefix}.patch.se.b2", (c_u,), "zeros")
-            elif b.mixer == "pconv":
-                yield _conv_def(f"{prefix}.pconv.conv3", b.mixer_cp, b.mixer_cp, 3)
-            elif b.mixer == "conv_dense":
-                yield _conv_def(f"{prefix}.conv.conv3", c, c, 3)
-            elif b.mixer == "conv_dw":
-                yield _conv_def(f"{prefix}.dwconv.conv3", c, c, 3, groups=c)
-            elif b.mixer == "pat_sf":
-                if b.mixer_cp > 0:
-                    yield _conv_def(f"{prefix}.patsf.conv3", b.mixer_cp, b.mixer_cp, 3)
-                c_u = c - b.mixer_cp
-                for mat in ("wq", "wk", "wv", "wo"):
-                    yield ParamDef(f"{prefix}.patsf.{mat}", (c_u, c_u), "normal",
-                                   fan_in=c_u)
-                    yield ParamDef(f"{prefix}.patsf.b{mat[1]}", (c_u,), "zeros")
-                bins = (2 * h4 - 1) * (2 * w4 - 1)
-                yield ParamDef(f"{prefix}.patsf.rpe", (b.heads, bins), "zeros")
-            else:
-                raise ValueError(f"unknown mixer {b.mixer!r}")
-
-            yield _conv_def(f"{prefix}.mlp.conv1", b.mlp_hidden, c, 1)
-            if fused:
-                yield ParamDef(f"{prefix}.mlp.conv1.bias", (b.mlp_hidden,), "zeros")
-            else:
-                yield from _bn_defs(f"{prefix}.mlp.bn", b.mlp_hidden)
-            if fused and b.sp_cp is not None:
-                # gate map merged into the second pointwise conv: one extra row
-                yield ParamDef(f"{prefix}.mlp.conv2m.weight",
-                               (c + 1, b.mlp_hidden, 1, 1), "normal",
-                               fan_in=b.mlp_hidden)
-                yield ParamDef(f"{prefix}.mlp.conv2m.bias", (c + 1,), "zeros")
-            else:
-                yield ParamDef(f"{prefix}.mlp.conv2.weight", (c, b.mlp_hidden, 1, 1),
-                               "normal", fan_in=b.mlp_hidden)
-                yield ParamDef(f"{prefix}.mlp.conv2.bias", (c,), "zeros")
-                if b.sp_cp is not None:
-                    yield ParamDef(f"{prefix}.patsp.map.weight", (1, c, 1, 1),
-                                   "normal", fan_in=c)
-                    yield ParamDef(f"{prefix}.patsp.map.bias", (1,), "zeros")
-
-    c4 = spec.stage_channels[3]
-    hidden = spec.config.classifier_hidden
-    yield ParamDef("head.conv.weight", (hidden, c4, 1, 1), "normal", fan_in=c4)
-    yield ParamDef("head.conv.bias", (hidden,), "zeros")
-    yield ParamDef("head.fc.weight", (spec.config.num_classes, hidden), "normal",
-                   fan_in=hidden)
-    yield ParamDef("head.fc.bias", (spec.config.num_classes,), "zeros")

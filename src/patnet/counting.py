@@ -11,22 +11,13 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
-from .config import ModelSpec, iter_param_schema
-from .model import ParamStore, build_plan
+from .config import ModelSpec
+from .model import iter_param_schema, plan_and_schema
 
 
 def count_params(spec: ModelSpec, fused: bool = False) -> int:
     """Total stored scalars; equals the element count of an init store."""
     return sum(math.prod(d.shape) for d in iter_param_schema(spec, fused))
-
-
-def _shape_store(spec: ModelSpec, fused: bool) -> ParamStore:
-    """Zero-stride tensors with the schema's shapes: enough to lower a plan
-    without allocating the weights of the large variants."""
-    return ParamStore(tensors={d.name: np.broadcast_to(np.float32(0), d.shape)
-                               for d in iter_param_schema(spec, fused)}, fused=fused)
 
 
 def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
@@ -36,4 +27,4 @@ def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
     if h % 32 != 0 or w % 32 != 0:
         raise ValueError(f"input extent {h}x{w} not divisible by 32")
     spec = dataclasses.replace(spec, input_hw=(h, w))
-    return build_plan(spec, _shape_store(spec, fused)).macs
+    return plan_and_schema(spec, fused)[0].macs

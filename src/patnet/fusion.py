@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_ops as T
-from .config import ModelSpec, iter_param_schema
-from .model import Mlp, ParamStore, Stem, build_plan
+from .config import ModelSpec
+from .model import Mlp, ParamStore, Stem, build_plan, iter_param_schema
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 PROBE_SEED = 0x5EED

@@ -1,5 +1,6 @@
-"""Parameter store, deterministic initialization, the execution plan and the
-end-to-end forward pass.
+"""Parameter store, the lowering with the parameter schema it records,
+deterministic initialization, the execution plan and the end-to-end forward
+pass.
 
 Block layout inside a stage:
 
@@ -13,7 +14,13 @@ spatial-attention reweighting (absent in some study configurations).
 ``build_plan`` lowers a ``(ModelSpec, ParamStore)`` pair into a ``Plan``: a
 flat tuple of typed ops (embed, merge, mixer, MLP with its gate, residual,
 head), each holding its resolved parameter bundles, its MACs per image and a
-stable name. All work that depends only on the weights happens there or once
+stable name. The lowering is the one place that names, shapes and
+initializes stored tensors: each is asked for through a ``take`` callable,
+in storage order. ``build_plan``'s ``take`` reads the store;
+``plan_and_schema``'s records a ``ParamDef`` and hands back a zero-stride
+stand-in, and that record is the schema (``iter_param_schema``) that
+initialization, counting, fusion and weight-file validation use. All work
+that depends only on the weights happens in the lowering or once
 per op afterwards: building and validating every ``ConvParams``/``BnParams``,
 the tap-major 3x3 weights and the attention biases. Whether the store is
 fused is decided while lowering, never in the forward. ``model_forward``
@@ -33,7 +40,7 @@ import numpy as np
 from . import blocks as B
 from . import tensor_ops as T
 from .blocks import PartialSplit, PatChParams, PatSfParams, PatSpParams
-from .config import BlockSpec, ModelSpec, iter_param_schema
+from .config import BlockSpec, ModelSpec
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 BN_EPS = 1e-5
@@ -66,58 +73,15 @@ class ParamStore:
         return sum(t.size for t in self.tensors.values())
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamStore:
-    """Deterministic store: normal(0, 1/sqrt(fan_in)) weights, identity BN,
-    zero biases and zero relative-position tables."""
-    rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for d in iter_param_schema(spec, fused=False):
-        if d.init == "normal":
-            t = rng.standard_normal(d.shape, dtype=np.float32)
-            t /= np.float32(np.sqrt(d.fan_in))
-        elif d.init == "ones":
-            t = np.ones(d.shape, dtype=np.float32)
-        else:
-            t = np.zeros(d.shape, dtype=np.float32)
-        tensors[d.name] = t
-    return ParamStore(tensors=tensors, fused=False)
+@dataclass(frozen=True)
+class ParamDef:
+    """Name, shape and initializer of one stored tensor, as the lowering
+    asks for it (see ``iter_param_schema``)."""
 
-
-# ---------------------------------------------------------------------------
-# store -> typed parameter bundles
-# ---------------------------------------------------------------------------
-
-def _conv_from(store: ParamStore, name: str, stride: int = 1, padding: int = 0,
-               groups: int = 1) -> ConvParams:
-    bias = store[f"{name}.bias"] if f"{name}.bias" in store else None
-    return ConvParams(store[f"{name}.weight"], bias, stride, padding, groups)
-
-
-def _bn_from(store: ParamStore, name: str) -> BnParams:
-    return BnParams(store[f"{name}.gamma"], store[f"{name}.beta"],
-                    store[f"{name}.mean"], store[f"{name}.var"], BN_EPS)
-
-
-def patch_params_from(store: ParamStore, prefix: str, b: BlockSpec) -> PatChParams:
-    conv = (_conv_from(store, f"{prefix}.patch.conv3", padding=1)
-            if b.mixer_cp > 0 else None)
-    if b.channels - b.mixer_cp > 0:
-        return PatChParams(conv,
-                           store[f"{prefix}.patch.se.w1"],
-                           store[f"{prefix}.patch.se.b1"],
-                           store[f"{prefix}.patch.se.w2"],
-                           store[f"{prefix}.patch.se.b2"])
-    return PatChParams(conv)
-
-
-def patsf_params_from(store: ParamStore, prefix: str, b: BlockSpec,
-                      rpe_hw: tuple[int, int]) -> PatSfParams:
-    conv = (_conv_from(store, f"{prefix}.patsf.conv3", padding=1)
-            if b.mixer_cp > 0 else None)
-    g = lambda k: store[f"{prefix}.patsf.{k}"]
-    return PatSfParams(conv, g("wq"), g("bq"), g("wk"), g("bk"),
-                       g("wv"), g("bv"), g("wo"), g("bo"),
-                       heads=b.heads, rpe_table=g("rpe"), rpe_hw=rpe_hw)
+    name: str
+    shape: tuple[int, ...]
+    init: str  # normal | zeros | ones
+    fan_in: int = 0
 
 
 # Every op holds its MACs per image, and ``counting.count_flops`` is their sum.
@@ -314,86 +278,178 @@ def _run(ops, x: np.ndarray) -> np.ndarray:
 # lowering
 # ---------------------------------------------------------------------------
 
-def _stem(store: ParamStore, name: str, stride: int, hw: int) -> Stem:
-    conv = _conv_from(store, f"{name}.conv", stride=stride)
-    bn = None if store.fused else _bn_from(store, f"{name}.bn")
+# Each helper gets every tensor through ``take(name, shape, init, fan_in)``,
+# in storage order; the module docstring says what each ``take`` does.
+
+def _conv(take, name: str, out_ch: int, in_ch: int, k: int, stride: int = 1,
+          padding: int = 0, groups: int = 1, bias: bool = False) -> ConvParams:
+    fan_in = in_ch // groups * k * k
+    weight = take(f"{name}.weight", (out_ch, in_ch // groups, k, k), "normal", fan_in)
+    b = take(f"{name}.bias", (out_ch,), "zeros", 0) if bias else None
+    return ConvParams(weight, b, stride, padding, groups)
+
+
+def _bn(take, name: str, c: int) -> BnParams:
+    return BnParams(take(f"{name}.gamma", (c,), "ones", 0),
+                    take(f"{name}.beta", (c,), "zeros", 0),
+                    take(f"{name}.mean", (c,), "zeros", 0),
+                    take(f"{name}.var", (c,), "ones", 0), BN_EPS)
+
+
+def _dense(take, w: str, b: str, out_dim: int, in_dim: int) -> tuple:
+    """Weight and bias of a fully-connected layer."""
+    return (take(w, (out_dim, in_dim), "normal", in_dim),
+            take(b, (out_dim,), "zeros", 0))
+
+
+def _stem(take, fused: bool, name: str, in_ch: int, out_ch: int, k: int,
+          hw: int) -> Stem:
+    conv = _conv(take, f"{name}.conv", out_ch, in_ch, k, stride=k, bias=fused)
+    bn = None if fused else _bn(take, f"{name}.bn", out_ch)
     return Stem(name, _conv_macs(conv, hw), conv, bn)
 
 
-def _mixer(store: ParamStore, prefix: str, b: BlockSpec,
-           rpe_hw: tuple[int, int], hw: int):
+def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int):
     name = f"{prefix}.mixer"
-    split = PartialSplit(b.channels, b.mixer_cp)
+    c, cp = b.channels, b.mixer_cp
+    split = PartialSplit(c, cp)
     c_u = split.c_u
     if b.mixer == "pat_ch":
-        p = patch_params_from(store, prefix, b)
-        gate = p.se_w1.size + p.se_w2.size + c_u * hw if c_u > 0 else 0
-        return PatChMixer(name, _conv_macs(p.conv3, hw) + gate, p, split)
+        at = f"{prefix}.patch"
+        conv = _conv(take, f"{at}.conv3", cp, cp, 3, padding=1) if cp > 0 else None
+        if c_u == 0:
+            return PatChMixer(name, _conv_macs(conv, hw), PatChParams(conv), split)
+        hid = B.se_hidden_width(c_u)
+        w1, b1 = _dense(take, f"{at}.se.w1", f"{at}.se.b1", hid, 2 * c_u)
+        w2, b2 = _dense(take, f"{at}.se.w2", f"{at}.se.b2", c_u, hid)
+        gate = w1.size + w2.size + c_u * hw
+        return PatChMixer(name, _conv_macs(conv, hw) + gate,
+                          PatChParams(conv, w1, b1, w2, b2), split)
     if b.mixer == "pat_sf":
-        p = patsf_params_from(store, prefix, b, rpe_hw)
+        at = f"{prefix}.patsf"
+        conv = _conv(take, f"{at}.conv3", cp, cp, 3, padding=1) if cp > 0 else None
+        proj = [t for m in "qkvo"
+                for t in _dense(take, f"{at}.w{m}", f"{at}.b{m}", c_u, c_u)]
+        bins = (2 * rpe_hw[0] - 1) * (2 * rpe_hw[1] - 1)
+        p = PatSfParams(conv, *proj, heads=b.heads,
+                        rpe_table=take(f"{at}.rpe", (b.heads, bins), "zeros", 0),
+                        rpe_hw=rpe_hw)
         projections = hw * (p.wq.size + p.wk.size + p.wv.size + p.wo.size)
-        macs = _conv_macs(p.conv3, hw) + projections + 2 * hw * hw * c_u
+        macs = _conv_macs(conv, hw) + projections + 2 * hw * hw * c_u
         return PatSfMixer(name, macs, p, split)
     if b.mixer == "pconv":
-        conv = _conv_from(store, f"{prefix}.pconv.conv3", padding=1)
+        conv = _conv(take, f"{prefix}.pconv.conv3", cp, cp, 3, padding=1)
         return PConvMixer(name, _conv_macs(conv, hw), conv, split)
     if b.mixer == "conv_dense":
-        conv = _conv_from(store, f"{prefix}.conv.conv3", padding=1)
+        conv = _conv(take, f"{prefix}.conv.conv3", c, c, 3, padding=1)
         return ConvMixer(name, _conv_macs(conv, hw), conv)
     if b.mixer == "conv_dw":
-        conv = _conv_from(store, f"{prefix}.dwconv.conv3", padding=1,
-                          groups=b.channels)
+        conv = _conv(take, f"{prefix}.dwconv.conv3", c, c, 3, padding=1, groups=c)
         return ConvMixer(name, _conv_macs(conv, hw), conv)
     raise ValueError(f"unknown mixer {b.mixer!r}")
 
 
-def _mlp(store: ParamStore, prefix: str, b: BlockSpec, act: str, hw: int) -> Mlp:
-    conv1 = _conv_from(store, f"{prefix}.mlp.conv1")
-    bn = None if store.fused else _bn_from(store, f"{prefix}.mlp.bn")
-    gate = None if b.sp_cp is None else PartialSplit(b.channels, b.sp_cp)
+def _mlp(take, fused: bool, prefix: str, b: BlockSpec, act: str, hw: int) -> Mlp:
+    c, hid = b.channels, b.mlp_hidden
+    conv1 = _conv(take, f"{prefix}.mlp.conv1", hid, c, 1, bias=fused)
+    bn = None if fused else _bn(take, f"{prefix}.mlp.bn", hid)
+    gate = None if b.sp_cp is None else PartialSplit(c, b.sp_cp)
     gate_map = None
-    if store.fused and gate is not None:
-        conv2 = _conv_from(store, f"{prefix}.mlp.conv2m")
-        # the merged gate-logit row is not charged (see _conv_macs)
-        conv2_macs = hw * b.channels * conv2.in_ch
+    if fused and gate is not None:
+        # the gate map merged into the second conv: one extra output row,
+        # the gate logit, which is not charged (see _conv_macs)
+        conv2 = _conv(take, f"{prefix}.mlp.conv2m", c + 1, hid, 1, bias=True)
+        conv2_macs = hw * c * hid
     else:
-        conv2 = _conv_from(store, f"{prefix}.mlp.conv2")
+        conv2 = _conv(take, f"{prefix}.mlp.conv2", c, hid, 1, bias=True)
         conv2_macs = _conv_macs(conv2, hw)
         if gate is not None:
-            gate_map = PatSpParams(_conv_from(store, f"{prefix}.patsp.map"))
+            gate_map = PatSpParams(_conv(take, f"{prefix}.patsp.map", 1, c, 1, bias=True))
     macs = _conv_macs(conv1, hw) + conv2_macs
     if gate is not None:
         macs += gate.c_u * hw + (_conv_macs(gate_map.map_conv, hw) if gate_map else 0)
     return Mlp(f"{prefix}.mlp", macs, conv1, bn, act, conv2, gate, gate_map)
 
 
-def _block_ops(store: ParamStore, prefix: str, b: BlockSpec, act: str,
+def _block_ops(take, fused: bool, prefix: str, b: BlockSpec, act: str,
                rpe_hw: tuple[int, int], hw: int) -> list:
-    mixer = _mixer(store, prefix, b, rpe_hw, hw)
-    mlp = _mlp(store, prefix, b, act, hw)
+    mixer = _mixer(take, prefix, b, rpe_hw, hw)
+    mlp = _mlp(take, fused, prefix, b, act, hw)
     if b.double_residual:
         return [mixer, Residual(f"{prefix}.residual1"),
                 mlp, Residual(f"{prefix}.residual2")]
     return [mixer, mlp, Residual(f"{prefix}.residual")]
 
 
-def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
-    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``."""
+def _lower(spec: ModelSpec, take, fused: bool) -> Plan:
+    widths, rpe_hw = spec.stage_channels, spec.final_hw
     h, w = spec.input_hw[0] // 4, spec.input_hw[1] // 4
-    ops = [_stem(store, "embed", 4, h * w)]
+    ops = [_stem(take, fused, "embed", 3, widths[0], 4, h * w)]
     for si, blocks in enumerate(spec.stages, start=1):
         if si > 1:
             h, w = h // 2, w // 2
-            ops.append(_stem(store, f"merge{si - 1}", 2, h * w))
+            ops.append(_stem(take, fused, f"merge{si - 1}", widths[si - 2],
+                             widths[si - 1], 2, h * w))
         for bi, b in enumerate(blocks):
-            ops += _block_ops(store, f"stage{si}.block{bi}", b, spec.activation,
-                              spec.final_hw, h * w)
+            ops += _block_ops(take, fused, f"stage{si}.block{bi}", b, spec.activation,
+                              rpe_hw, h * w)
     hidden = spec.config.classifier_hidden
-    conv_w = store["head.conv.weight"].reshape(hidden, -1)
-    fc_w = store["head.fc.weight"]
-    ops.append(Head("head", conv_w.size + fc_w.size, conv_w, store["head.conv.bias"],
-                    fc_w, store["head.fc.bias"], spec.activation))
+    conv = _conv(take, "head.conv", hidden, widths[3], 1, bias=True)
+    conv_w = conv.weight.reshape(hidden, -1)
+    fc_w, fc_b = _dense(take, "head.fc.weight", "head.fc.bias",
+                        spec.config.num_classes, hidden)
+    ops.append(Head("head", conv_w.size + fc_w.size, conv_w, conv.bias, fc_w, fc_b,
+                    spec.activation))
     return Plan(spec, tuple(ops))
+
+
+def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
+    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``."""
+    tensors = store.tensors
+    return _lower(spec, lambda name, shape, init, fan_in: tensors[name], store.fused)
+
+
+@lru_cache(maxsize=None)
+def _stand_in(shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only zero-stride float32 array of ``shape``."""
+    return np.broadcast_to(np.float32(0), shape)
+
+
+def plan_and_schema(spec: ModelSpec, fused: bool = False) -> tuple[Plan, list[ParamDef]]:
+    """Lower ``spec`` over zero-stride stand-ins, recording every tensor the
+    lowering takes: the plan (enough for its MACs) and the parameter schema,
+    without allocating the weights of the large variants."""
+    defs = []
+
+    def take(name, shape, init, fan_in):
+        defs.append(ParamDef(name, shape, init, fan_in))
+        return _stand_in(shape)
+
+    return _lower(spec, take, fused), defs
+
+
+def iter_param_schema(spec: ModelSpec, fused: bool = False) -> list[ParamDef]:
+    """The stored tensors of ``spec`` in their fixed order. The same list
+    drives initialization, exact parameter counting, fusion's output order
+    and weight-file validation, and it is what ``build_plan`` reads."""
+    return plan_and_schema(spec, fused)[1]
+
+
+def init_params(spec: ModelSpec, seed: int) -> ParamStore:
+    """Deterministic store: normal(0, 1/sqrt(fan_in)) weights, identity BN,
+    zero biases and zero relative-position tables."""
+    rng = np.random.default_rng(seed)
+    tensors: dict[str, np.ndarray] = {}
+    for d in iter_param_schema(spec, fused=False):
+        if d.init == "normal":
+            t = rng.standard_normal(d.shape, dtype=np.float32)
+            t /= np.float32(np.sqrt(d.fan_in))
+        elif d.init == "ones":
+            t = np.ones(d.shape, dtype=np.float32)
+        else:
+            t = np.zeros(d.shape, dtype=np.float32)
+        tensors[d.name] = t
+    return ParamStore(tensors=tensors, fused=False)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # stabilizer added to the spatial variance before the square root
 EPS_STAT = 1e-5
 
-ACTIVATION_KINDS = ("relu", "gelu", "hard_sigmoid")
+ACTIVATION_KINDS = ("relu", "gelu")
 
 
 class ShapeError(ValueError):
@@ -349,11 +349,6 @@ def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nd
         return relu(x, out=out)
     if kind == "gelu":
         return gelu(x, out=out)
-    if kind == "hard_sigmoid":
-        if out is None:
-            return hard_sigmoid(x)
-        np.copyto(_output_like(x, out), hard_sigmoid(x))
-        return out
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 

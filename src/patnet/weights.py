@@ -28,15 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ModelSpec, VARIANT_TABLE, build_variant, iter_param_schema
-from .model import ParamStore
+from .config import ModelSpec, VARIANT_TABLE, build_variant
+from .model import ParamStore, iter_param_schema
 
 MAGIC = b"PATW"
 VERSION = 1
 DTYPE_F32 = 0
 
 
-class WeightFileError(Exception):
+class WeightFileError(ValueError):
     """Base class for weight-file problems."""
 
 

@@ -89,6 +89,24 @@ class TestRuntimeErrors:
                              "--out", str(tmp_path / "g.patw")]) == 1
         assert "already fused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["flipped_byte", "garbage"])
+    @pytest.mark.parametrize("command", ["infer", "fuse"])
+    def test_bad_weight_file_exits_1(self, t0_weights, sample_image, tmp_path,
+                                     capsys, damage, command):
+        blob = bytearray(t0_weights.read_bytes())
+        if damage == "flipped_byte":
+            blob[len(blob) // 2] ^= 0xFF  # a payload byte: the checksum fails
+        else:
+            blob = bytearray(b"not a weight file\n" * 8)  # the magic fails
+        bad = tmp_path / "bad.patw"
+        bad.write_bytes(bytes(blob))
+        args = (["infer", "--weights", str(bad), "--image", str(sample_image)]
+                if command == "infer"
+                else ["fuse", "--weights", str(bad), "--out", str(tmp_path / "f.patw")])
+        assert cli_dispatch(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
 
 class TestInfer:
     def test_topk_lines_and_finite_logits(self, t0_weights, sample_image,

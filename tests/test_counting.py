@@ -8,12 +8,11 @@ from patnet.config import (
     VARIANT_TABLE,
     build_ablation,
     build_variant,
-    iter_param_schema,
 )
 from patnet.blocks import se_hidden_width
 from patnet.config import BlockSpec
 from patnet.counting import count_flops, count_params
-from patnet.model import init_params
+from patnet.model import init_params, iter_param_schema
 
 from test_model import tiny_spec
 

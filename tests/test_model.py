@@ -16,11 +16,17 @@ from patnet.config import (
     build_ablation,
     build_spec,
     build_variant,
-    iter_param_schema,
 )
-from patnet.counting import _shape_store, count_flops
+from patnet.counting import count_flops
 from patnet.fusion import fuse_model
-from patnet.model import ParamStore, build_plan, init_params, model_forward
+from patnet.model import (
+    ParamStore,
+    build_plan,
+    init_params,
+    iter_param_schema,
+    model_forward,
+    plan_and_schema,
+)
 from patnet.tensor_ops import BnParams, ShapeError, batch_norm_infer
 
 from conftest import rand_t4
@@ -35,7 +41,8 @@ def tiny_spec(depths=(1, 1, 1, 1), activation="gelu", input_size=32):
 
 def block_forward(x, store, prefix, b, act, rpe_hw):
     """One residual block, lowered from ``store`` for this call."""
-    ops = model_mod._block_ops(store, prefix, b, act, rpe_hw, x.shape[2] * x.shape[3])
+    ops = model_mod._block_ops(lambda name, *_: store[name], store.fused, prefix, b,
+                               act, rpe_hw, x.shape[2] * x.shape[3])
     return model_mod._run(ops, x)
 
 
@@ -249,7 +256,7 @@ class TestPlan:
         for mode in (None, *ABLATION_MODES):
             spec = base if mode is None else build_ablation(base, mode)
             for fused in (False, True):
-                plan = build_plan(spec, _shape_store(spec, fused))
+                plan, _ = plan_and_schema(spec, fused)
                 expected = analytic_flops(spec, spec.input_hw, fused)
                 assert plan.macs == expected, (mode, fused)
                 assert count_flops(spec, spec.input_hw, fused) == expected, (mode, fused)

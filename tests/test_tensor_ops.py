@@ -18,6 +18,7 @@ from patnet.tensor_ops import (
     conv2d,
     gelu,
     global_avg_pool,
+    hard_sigmoid,
     matmul,
     relu,
     sigmoid,
@@ -175,8 +176,7 @@ class TestActivations:
     @pytest.mark.parametrize("v,expected", [(-3.0, 0.0), (3.0, 1.0),
                                             (1.5, 0.75), (0.0, 0.5)])
     def test_hard_sigmoid_piecewise(self, v, expected):
-        assert float(activation(np.array([v], np.float32), "hard_sigmoid")[0]) \
-            == pytest.approx(expected)
+        assert float(hard_sigmoid(np.array([v], np.float32))[0]) == pytest.approx(expected)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):
@@ -184,8 +184,7 @@ class TestActivations:
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
     def test_hard_sigmoid_range(self, vals):
-        y = activation(np.array(vals, np.float32).reshape(1, 1, 1, -1),
-                       "hard_sigmoid")
+        y = hard_sigmoid(np.array(vals, np.float32).reshape(1, 1, 1, -1))
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
 
@@ -203,7 +202,6 @@ class TestInPlace:
         "batch_norm": lambda x, out: batch_norm_infer(x, TestInPlace.BN, out=out),
         "activation-relu": lambda x, out: activation(x, "relu", out=out),
         "activation-gelu": lambda x, out: activation(x, "gelu", out=out),
-        "activation-hard_sigmoid": lambda x, out: activation(x, "hard_sigmoid", out=out),
     }
 
     @pytest.mark.parametrize("armed", [

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patnet import weights
-from patnet.config import VARIANT_TABLE, build_spec, build_variant, iter_param_schema
+from patnet.config import VARIANT_TABLE, build_spec, build_variant
 from patnet.fusion import fuse_model
-from patnet.model import ParamStore, init_params
+from patnet.model import ParamStore, init_params, iter_param_schema
 from patnet.weights import (
     BadMagicError,
     CrcError,
