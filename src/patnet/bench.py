@@ -34,8 +34,12 @@ def bench_run(spec: ModelSpec, store: ParamStore, batch: int, iters: int,
     """Time ``iters`` steady-state forwards of one deterministic batch, one
     at a time: a forward already runs on every core it can use, so forwards
     run side by side would only compete for them."""
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
+    if warmup < 0:
+        raise ValueError("warmup must not be negative")
     rng = np.random.default_rng(INPUT_SEED)
     h, w = spec.input_hw
     x = rng.standard_normal((batch, 3, h, w), dtype=np.float32)

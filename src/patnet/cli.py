@@ -15,7 +15,14 @@ import sys
 import numpy as np
 
 from .bench import bench_run
-from .config import VARIANT_TABLE, build_variant
+from .config import (
+    ABLATION_MODES,
+    REFERENCE_FLOPS_G,
+    REFERENCE_PARAMS_M,
+    VARIANT_TABLE,
+    build_ablation,
+    build_variant,
+)
 from .counting import count_flops, count_params
 from .fusion import fuse_model
 from .gradcheck import BLOCK_KINDS, gradcheck_block
@@ -31,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("summary", help="print parameter and MAC counts")
-    p.add_argument("--variant", required=True, choices=list(VARIANT_TABLE))
+    p.add_argument("--variant", required=True, choices=[*VARIANT_TABLE, "all"],
+                   help="one variant, or all for a table of every variant "
+                        "and T2 study arm")
     p.add_argument("--input-size", type=int, default=224)
 
     p = sub.add_parser("init", help="write deterministically initialized weights")
@@ -65,7 +74,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _summary_row(label, spec, hw, ref_p=None, ref_f=None) -> None:
+    p = count_params(spec) / 1e6
+    f = count_flops(spec, hw) / 1e9
+    dp = f" ({(p / ref_p - 1) * 100:+.1f}% vs {ref_p})" if ref_p else ""
+    df = f" ({(f / ref_f - 1) * 100:+.1f}% vs {ref_f})" if ref_f else ""
+    print(f"{label:<18} {p:9.2f} M{dp:<18} {f:8.3f} G{df}")
+
+
+def _summary_table(size: int) -> int:
+    """Params and MACs of every variant against the published figures, then
+    of every T2 study arm."""
+    hw = (size, size)
+    print(f"{'model':<18} {'params':>11} {'':18} {'MACs':>9}")
+    for name in VARIANT_TABLE:
+        _summary_row(name, build_variant(name, size), hw,
+                     REFERENCE_PARAMS_M[name], REFERENCE_FLOPS_G[name])
+    print()
+    t2 = build_variant("T2", size)
+    print("T2 study arms:")
+    for mode in ABLATION_MODES:
+        _summary_row(f"  {mode}", build_ablation(t2, mode), hw)
+    return 0
+
+
 def _cmd_summary(args) -> int:
+    if args.variant == "all":
+        return _summary_table(args.input_size)
     spec = build_variant(args.variant, input_size=args.input_size)
     params = count_params(spec)
     flops = count_flops(spec, (args.input_size, args.input_size))

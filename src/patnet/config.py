@@ -115,6 +115,8 @@ def _make_block(channels: int, ratio: float, mlp_ratio: int,
 def build_spec(config: VariantConfig, input_size: int = 224,
                label: str | None = None) -> ModelSpec:
     """Assemble the block list for ``config`` at a square input size."""
+    if input_size < 32:
+        raise ValueError(f"input size {input_size} below the minimum of 32")
     if input_size % 32 != 0:
         raise ValueError(f"input size {input_size} not divisible by 32")
     widths = tuple(config.stage_width(i) for i in range(1, 5))

@@ -24,6 +24,8 @@ def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
                 fused: bool = False) -> int:
     """MACs of one sample at input extent ``hw``."""
     h, w = hw
+    if min(h, w) < 32:
+        raise ValueError(f"input extent {h}x{w} below the minimum of 32")
     if h % 32 != 0 or w % 32 != 0:
         raise ValueError(f"input extent {h}x{w} not divisible by 32")
     spec = dataclasses.replace(spec, input_hw=(h, w))

@@ -4,6 +4,13 @@ against central finite differences.
 The scalar objective is always <upstream, block(x)>. Analytic gradients are
 computed in the probe dtype (float32 by default, float64 for the tight
 check); the numeric side always runs the forward in float64.
+
+The blocks checked are the ones the engine builds: probe parameters are
+drawn, and rebuilt into block parameters, by the lowering's own helpers in
+``model.py`` (``_mixer`` for pat_ch and pat_sf, ``_gate_map`` for pat_sp),
+so every name, shape, fan-in and conv setting comes from the one layer
+layout. A probe tensor's name is its lowered name less the ``probe.<tag>.``
+prefix, e.g. ``se.w1`` for ``probe.patch.se.w1``.
 """
 
 from __future__ import annotations
@@ -13,17 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import model
 from .blocks import (
     PartialSplit,
-    PatChParams,
-    PatSfParams,
-    PatSpParams,
     pat_ch_forward,
     pat_sf_forward,
     pat_sp_forward,
     relative_index_grid,
-    se_hidden_width,
 )
+from .config import BlockSpec
 from .tensor_ops import ConvParams, channel_stats, conv2d, hard_sigmoid, sigmoid
 
 BLOCK_KINDS = ("pat_ch", "pat_sp", "pat_sf")
@@ -107,50 +112,52 @@ def _stats_vjp(x_u, mean, std, g_mean, g_std):
 # per-block forward / vjp over flat parameter dicts
 # ---------------------------------------------------------------------------
 
+def _short(name: str) -> str:
+    """A lowered tensor name less its ``probe.<tag>.`` prefix."""
+    return name.split(".", 2)[2]
+
+
+def _lower(kind: str, take, split: PartialSplit, rpe_hw, heads: int | None):
+    """The block's parameters, built by the model's lowering helpers, which
+    ask ``take`` for each tensor in storage order. Only the mixer fields of
+    the ``BlockSpec`` are read, and the op's MACs are unused (extent 0)."""
+    if kind == "pat_sp":
+        return model._gate_map(take, "probe", split.c_total)
+    b = BlockSpec(split.c_total, kind, split.c_p, None, 0, heads=heads)
+    return model._mixer(take, "probe", b, rpe_hw, 0).params
+
+
 def _as_params(kind: str, params: dict[str, np.ndarray], split: PartialSplit,
                rpe_hw, heads: int):
-    if kind == "pat_ch":
-        conv = ConvParams(params["conv3.weight"], None, padding=1) \
-            if split.c_p > 0 else None
-        return PatChParams(conv, params["se.w1"], params["se.b1"],
-                           params["se.w2"], params["se.b2"])
-    if kind == "pat_sp":
-        return PatSpParams(ConvParams(params["map.weight"], params["map.bias"]))
-    conv = ConvParams(params["conv3.weight"], None, padding=1) \
-        if split.c_p > 0 else None
-    return PatSfParams(conv, params["wq"], params["bq"], params["wk"],
-                       params["bk"], params["wv"], params["bv"], params["wo"],
-                       params["bo"], heads=heads, rpe_table=params["rpe"],
-                       rpe_hw=rpe_hw)
+    return _lower(kind, lambda name, *_: params[_short(name)], split, rpe_hw, heads)
 
 
 def block_apply(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
                 split: PartialSplit, rpe_hw=None, heads: int | None = None):
-    p = _as_params(kind, params, split, rpe_hw, heads)
-    if kind == "pat_ch":
-        return pat_ch_forward(x, p, split)
-    if kind == "pat_sp":
-        return pat_sp_forward(x, p, split)
-    return pat_sf_forward(x, p, split)
+    forward = {"pat_ch": pat_ch_forward, "pat_sp": pat_sp_forward,
+               "pat_sf": pat_sf_forward}[kind]
+    return forward(x, _as_params(kind, params, split, rpe_hw, heads), split)
 
 
-def _pat_ch_vjp(params, x, split, up):
+def _conv3_vjp(p, x, split, up, gx, grads):
+    """Backprop the split branch's 3x3 conv, when the block has one."""
+    if p.conv3 is not None:
+        cp = split.c_p
+        gx[:, :cp], grads["conv3.weight"], _ = conv2d_vjp(x[:, :cp], p.conv3, up[:, :cp])
+
+
+def _pat_ch_vjp(p, x, split, up):
     cp = split.c_p
-    x_p, x_u = x[:, :cp], x[:, cp:]
-    up_p, up_u = up[:, :cp], up[:, cp:]
+    x_u, up_u = x[:, cp:], up[:, cp:]
     grads = {}
     gx = np.zeros_like(x)
-    if cp > 0:
-        conv = ConvParams(params["conv3.weight"], None, padding=1)
-        gxp, gw, _ = conv2d_vjp(x_p, conv, up_p)
-        gx[:, :cp] = gxp
-        grads["conv3.weight"] = gw
+    _conv3_vjp(p, x, split, up, gx, grads)
 
     mean, std = channel_stats(x_u)
     z = np.concatenate([mean, std], axis=1)
-    h_pre = z @ params["se.w1"].T + params["se.b1"]
+    h_pre = z @ p.se_w1.T + p.se_b1
     h = np.maximum(h_pre, 0)
-    g_pre = h @ params["se.w2"].T + params["se.b2"]
+    g_pre = h @ p.se_w2.T + p.se_b2
     gate = sigmoid(g_pre)
 
     gx[:, cp:] = up_u * gate[:, :, None, None]
@@ -158,22 +165,21 @@ def _pat_ch_vjp(params, x, split, up):
     d_gpre = d_gate * gate * (1.0 - gate)
     grads["se.b2"] = d_gpre.sum(axis=0)
     grads["se.w2"] = d_gpre.T @ h
-    d_h = d_gpre @ params["se.w2"]
+    d_h = d_gpre @ p.se_w2
     d_hpre = d_h * (h_pre > 0)
     grads["se.b1"] = d_hpre.sum(axis=0)
     grads["se.w1"] = d_hpre.T @ z
-    d_z = d_hpre @ params["se.w1"]
+    d_z = d_hpre @ p.se_w1
     c_u = split.c_u
     gx[:, cp:] += _stats_vjp(x_u, mean, std, d_z[:, :c_u], d_z[:, c_u:])
     return gx, grads
 
 
-def _pat_sp_vjp(params, x, split, up):
+def _pat_sp_vjp(p, x, split, up):
     cp = split.c_p
     x_u = x[:, cp:]
     up_u = up[:, cp:]
-    map_conv = ConvParams(params["map.weight"], params["map.bias"])
-    a_pre = conv2d(x, map_conv)
+    a_pre = conv2d(x, p.map_conv)
     a = hard_sigmoid(a_pre)
 
     gx = up.copy()
@@ -181,30 +187,25 @@ def _pat_sp_vjp(params, x, split, up):
     d_a = (up_u * x_u).sum(axis=1, keepdims=True)
     inside = (a_pre > -3.0) & (a_pre < 3.0)
     d_apre = d_a * inside.astype(d_a.dtype) / 6.0
-    gx_map, gw, gb = conv2d_vjp(x, map_conv, d_apre)
+    gx_map, gw, gb = conv2d_vjp(x, p.map_conv, d_apre)
     gx += gx_map
     return gx, {"map.weight": gw, "map.bias": gb}
 
 
-def _pat_sf_vjp(params, x, split, up, rpe_hw, heads):
+def _pat_sf_vjp(p, x, split, up):
     cp = split.c_p
-    x_p, x_u = x[:, :cp], x[:, cp:]
-    up_p, up_u = up[:, :cp], up[:, cp:]
+    x_u, up_u = x[:, cp:], up[:, cp:]
     grads = {}
     gx = np.zeros_like(x)
-    if cp > 0:
-        conv = ConvParams(params["conv3.weight"], None, padding=1)
-        gxp, gw, _ = conv2d_vjp(x_p, conv, up_p)
-        gx[:, :cp] = gxp
-        grads["conv3.weight"] = gw
+    _conv3_vjp(p, x, split, up, gx, grads)
 
     n, c_u, hh, ww = x_u.shape
     L = hh * ww
-    d = c_u // heads
+    heads, d = p.heads, p.head_dim
     t = x_u.reshape(n, c_u, L).transpose(0, 2, 1)
-    q = t @ params["wq"].T + params["bq"]
-    k = t @ params["wk"].T + params["bk"]
-    v = t @ params["wv"].T + params["bv"]
+    q = t @ p.wq.T + p.bq
+    k = t @ p.wk.T + p.bk
+    v = t @ p.wv.T + p.bv
 
     def hview(m):
         return m.reshape(n, L, heads, d).transpose(0, 2, 1, 3)
@@ -212,7 +213,7 @@ def _pat_sf_vjp(params, x, split, up, rpe_hw, heads):
     qh, kh, vh = hview(q), hview(k), hview(v)
     scale = 1.0 / np.sqrt(d)
     idx = relative_index_grid(hh, ww)
-    bias = params["rpe"][:, idx]
+    bias = p.rpe_table[:, idx]
     logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + bias[None]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
@@ -222,13 +223,13 @@ def _pat_sf_vjp(params, x, split, up, rpe_hw, heads):
     d_out = up_u.reshape(n, c_u, L).transpose(0, 2, 1)
     grads["bo"] = d_out.sum(axis=(0, 1))
     grads["wo"] = np.einsum("nlo,nli->oi", d_out, ctx_m)
-    d_ctx = (d_out @ params["wo"]).reshape(n, L, heads, d).transpose(0, 2, 1, 3)
+    d_ctx = (d_out @ p.wo).reshape(n, L, heads, d).transpose(0, 2, 1, 3)
 
     d_attn = np.matmul(d_ctx, vh.transpose(0, 1, 3, 2))
     d_vh = np.matmul(attn.transpose(0, 1, 3, 2), d_ctx)
     d_logits = softmax_vjp(attn, d_attn)
 
-    g_rpe = np.zeros_like(params["rpe"])
+    g_rpe = np.zeros_like(p.rpe_table)
     d_bias = d_logits.sum(axis=0)  # (heads, L, L)
     for hi in range(heads):
         np.add.at(g_rpe[hi], idx.reshape(-1), d_bias[hi].reshape(-1))
@@ -245,7 +246,7 @@ def _pat_sf_vjp(params, x, split, up, rpe_hw, heads):
     for nm, dm in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
         grads[nm] = np.einsum("nlo,nli->oi", dm, t)
         grads[f"b{nm[1]}"] = dm.sum(axis=(0, 1))
-        d_t += dm @ params[nm]
+        d_t += dm @ getattr(p, nm)
     gx[:, cp:] = d_t.transpose(0, 2, 1).reshape(n, c_u, hh, ww)
     return gx, grads
 
@@ -260,11 +261,8 @@ def block_vjp(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
         raise ValueError(f"unknown block kind {kind!r}")
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input {x.shape}")
-    if kind == "pat_ch":
-        return _pat_ch_vjp(params, x, split, upstream)
-    if kind == "pat_sp":
-        return _pat_sp_vjp(params, x, split, upstream)
-    return _pat_sf_vjp(params, x, split, upstream, rpe_hw, heads)
+    vjp = {"pat_ch": _pat_ch_vjp, "pat_sp": _pat_sp_vjp, "pat_sf": _pat_sf_vjp}[kind]
+    return vjp(_as_params(kind, params, split, rpe_hw, heads), x, split, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -278,46 +276,38 @@ DEFAULT_SIZES = {
 }
 
 
-def _draw_params(kind: str, rng, sizes) -> dict[str, np.ndarray]:
-    c, cp = sizes["channels"], sizes["c_p"]
-    cu = c - cp
+def _block_args(kind: str, sizes: dict) -> tuple:
+    """The (rpe_hw, heads) that the block of ``sizes`` is lowered with."""
+    if kind == "pat_sf":
+        return (sizes["hw"], sizes["hw"]), sizes["heads"]
+    return None, None
 
-    def normal(*shape, fan):
-        return (rng.standard_normal(shape) / np.sqrt(fan)).astype(np.float32)
 
+def _draw(kind: str, rng, split: PartialSplit, rpe_hw, heads):
+    """Probe parameters, by name and as the block's parameter object: each
+    tensor normal(0, 1/sqrt(fan_in)), with fan-in 4 for the tensors the
+    model initializes to constants (biases, position tables)."""
     params = {}
-    if kind in ("pat_ch", "pat_sf") and cp > 0:
-        params["conv3.weight"] = normal(cp, cp, 3, 3, fan=cp * 9)
-    if kind == "pat_ch":
-        hid = se_hidden_width(cu)
-        params["se.w1"] = normal(hid, 2 * cu, fan=2 * cu)
-        params["se.b1"] = normal(hid, fan=4)
-        params["se.w2"] = normal(cu, hid, fan=hid)
-        params["se.b2"] = normal(cu, fan=4)
-    elif kind == "pat_sp":
-        params["map.weight"] = normal(1, c, 1, 1, fan=c)
-        params["map.bias"] = normal(1, fan=4)
-    else:
-        for nm in ("wq", "wk", "wv", "wo"):
-            params[nm] = normal(cu, cu, fan=cu)
-            params[f"b{nm[1]}"] = normal(cu, fan=4)
-        hw = sizes["hw"]
-        bins = (2 * hw - 1) ** 2
-        params["rpe"] = normal(sizes["heads"], bins, fan=4)
-    return params
+
+    def take(name, shape, init, fan_in):
+        t = (rng.standard_normal(shape) / np.sqrt(fan_in or 4)).astype(np.float32)
+        params[_short(name)] = t
+        return t
+
+    return params, _lower(kind, take, split, rpe_hw, heads)
 
 
-def _kink_distance(kind: str, params, x, split) -> float:
+def _kink_distance(kind: str, p, x, split) -> float:
     """Distance of the probe's pre-activation values to the nearest relu or
     hard-sigmoid kink; large when the block has no kinks."""
     if kind == "pat_sp":
-        a_pre = conv2d(x, ConvParams(params["map.weight"], params["map.bias"]))
+        a_pre = conv2d(x, p.map_conv)
         return float(np.abs(np.abs(a_pre) - 3.0).min())
     if kind == "pat_ch":
         x_u = x[:, split.c_p :]
         mean, std = channel_stats(x_u)
         z = np.concatenate([mean, std], axis=1)
-        h_pre = z @ params["se.w1"].T + params["se.b1"]
+        h_pre = z @ p.se_w1.T + p.se_b1
         return float(np.abs(h_pre).min())
     return np.inf
 
@@ -331,8 +321,8 @@ def make_probe(kind: str, seed: int, sizes: dict | None = None):
     for attempt in range(64):
         rng = np.random.default_rng((seed, attempt))
         x = rng.standard_normal((1, sizes["channels"], hw, hw)).astype(np.float32)
-        params = _draw_params(kind, rng, sizes)
-        if _kink_distance(kind, params, x, split) > KINK_MARGIN:
+        params, p = _draw(kind, rng, split, *_block_args(kind, sizes))
+        if _kink_distance(kind, p, x, split) > KINK_MARGIN:
             break
     upstream = rng.standard_normal(x.shape).astype(np.float32)
     return x, split, params, upstream, sizes
@@ -348,8 +338,7 @@ def gradcheck_block(kind: str, seed: int = 0, sizes: dict | None = None,
     """
     x, split, params, upstream, sizes = make_probe(kind, seed, sizes)
     h = 1e-3 if dtype == np.float32 else 1e-5
-    heads = sizes.get("heads")
-    rpe_hw = (sizes["hw"], sizes["hw"]) if kind == "pat_sf" else None
+    rpe_hw, heads = _block_args(kind, sizes)
 
     xd = x.astype(dtype)
     pd = {k: v.astype(dtype) for k, v in params.items()}

@@ -349,6 +349,11 @@ def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int):
     raise ValueError(f"unknown mixer {b.mixer!r}")
 
 
+def _gate_map(take, prefix: str, c: int) -> PatSpParams:
+    """The spatial gate's standalone 1x1 map conv over all ``c`` channels."""
+    return PatSpParams(_conv(take, f"{prefix}.patsp.map", 1, c, 1, bias=True))
+
+
 def _mlp(take, fused: bool, prefix: str, b: BlockSpec, act: str, hw: int) -> Mlp:
     c, hid = b.channels, b.mlp_hidden
     conv1 = _conv(take, f"{prefix}.mlp.conv1", hid, c, 1, bias=fused)
@@ -364,7 +369,7 @@ def _mlp(take, fused: bool, prefix: str, b: BlockSpec, act: str, hw: int) -> Mlp
         conv2 = _conv(take, f"{prefix}.mlp.conv2", c, hid, 1, bias=True)
         conv2_macs = _conv_macs(conv2, hw)
         if gate is not None:
-            gate_map = PatSpParams(_conv(take, f"{prefix}.patsp.map", 1, c, 1, bias=True))
+            gate_map = _gate_map(take, prefix, c)
     macs = _conv_macs(conv1, hw) + conv2_macs
     if gate is not None:
         macs += gate.c_u * hw + (_conv_macs(gate_map.map_conv, hw) if gate_map else 0)

@@ -53,6 +53,29 @@ class TestSummary:
         assert params == count_params(spec)
         assert flops == count_flops(spec)
 
+    def test_all_prints_every_variant_and_t2_arm(self, capsys):
+        from patnet.config import (ABLATION_MODES, VARIANT_TABLE, build_ablation,
+                                   build_variant)
+        from patnet.counting import count_flops, count_params
+        assert cli_dispatch(["summary", "--variant", "all", "--input-size", "64"]) == 0
+        out = capsys.readouterr().out
+        found = re.findall(r"^\s*(\S+)\s+([\d.]+) M.*?([\d.]+) G", out, re.MULTILINE)
+        rows = {label: (params, macs) for label, params, macs in found}
+        t2 = build_variant("T2", 64)
+        specs = {**{v: build_variant(v, 64) for v in VARIANT_TABLE},
+                 **{m: build_ablation(t2, m) for m in ABLATION_MODES}}
+        assert sorted(label for label, _, _ in found) == sorted(specs)  # one row each
+        for label, spec in specs.items():
+            expected = (f"{count_params(spec) / 1e6:.2f}",
+                        f"{count_flops(spec, (64, 64)) / 1e9:.3f}")
+            assert rows[label] == expected, label
+
+    @pytest.mark.parametrize("size", ["0", "-32"])
+    def test_input_size_below_32_exits_1(self, size, capsys):
+        assert cli_dispatch(["summary", "--variant", "T0", "--input-size", size]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
@@ -200,3 +223,12 @@ class TestBenchCommand:
                              "--iters", "1", "--warmup", "0"]) == 0
         out = capsys.readouterr().out
         assert "images/sec" in out and "engine worker" in out
+
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-1"),
+                                            ("--warmup", "-3")])
+    def test_bad_batch_or_warmup_exits_1(self, flag, value, capsys):
+        args = {"--batch": "1", "--iters": "1", "--warmup": "0", flag: value}
+        assert cli_dispatch(["bench", "--variant", "T0",
+                             *(t for kv in args.items() for t in kv)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err

@@ -150,6 +150,11 @@ class TestCountFlops:
         with pytest.raises(ValueError, match="divisible by 32"):
             count_flops(build_variant("T0"), (100, 100))
 
+    @pytest.mark.parametrize("hw", [(0, 64), (64, -32)])
+    def test_rejects_extent_below_32(self, hw):
+        with pytest.raises(ValueError, match="minimum of 32"):
+            count_flops(build_variant("T0"), hw)
+
     def test_full_attention_study_costs_more(self):
         t2 = build_variant("T2")
         base = count_flops(t2)

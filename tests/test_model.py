@@ -91,6 +91,11 @@ class TestBuildVariant:
         with pytest.raises(ValueError, match="divisible by 32"):
             build_variant("T0", input_size=100)
 
+    @pytest.mark.parametrize("size", [0, -32])
+    def test_input_below_32_rejected(self, size):
+        with pytest.raises(ValueError, match="minimum of 32"):
+            build_variant("T0", input_size=size)
+
 
 class TestInitParams:
     def test_same_seed_bitwise_identical(self):
