@@ -5,7 +5,6 @@ from .blocks import (
     PatChParams,
     PatSfParams,
     PatSpParams,
-    channel_concat,
     channel_split,
     gaussian_se_gate,
     pat_ch_forward,
@@ -60,7 +59,6 @@ __all__ = [
     "build_ablation",
     "build_spec",
     "build_variant",
-    "channel_concat",
     "channel_split",
     "channel_stats",
     "conv2d",

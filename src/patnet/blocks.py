@@ -3,9 +3,12 @@ baseline.
 
 Every block splits its input along channels: the first ``c_p`` channels go
 through a regular convolution, the remaining "untouched" channels are
-reweighted by an attention gate, and the two halves are concatenated back in
-the original order. Setting ``c_p = 0`` turns a block into its full-attention
-counterpart; ``c_p = c_total`` degrades it to the dense convolution.
+reweighted by an attention gate (copied, in plain partial convolution), and
+``_partial`` writes both branches, in the original channel order, into one
+fresh output. So no block returns memory shared with its input, except the
+spatial gate of a split without untouched channels, which returns its input.
+Setting ``c_p = 0`` turns a block into its full-attention counterpart;
+``c_p = c_total`` degrades it to the dense convolution.
 """
 
 from __future__ import annotations
@@ -61,16 +64,26 @@ def channel_split(x: np.ndarray, s: PartialSplit) -> tuple[np.ndarray, np.ndarra
     return x[:, : s.c_p], x[:, s.c_p :]
 
 
-def channel_concat(x_p: np.ndarray, x_u: np.ndarray) -> np.ndarray:
-    """Stack the conv-branch channels back in front of the untouched ones."""
-    if x_p.shape[1] == 0:
-        return x_u
-    if x_u.shape[1] == 0:
-        return x_p
-    if x_p.shape[0] != x_u.shape[0] or x_p.shape[2:] != x_u.shape[2:]:
-        raise ShapeError(
-            f"channel_concat: spatial/batch mismatch {x_p.shape} vs {x_u.shape}")
-    return np.concatenate([x_p, x_u], axis=1)
+def _partial(x: np.ndarray, s: PartialSplit, conv3: ConvParams | None,
+             untouched, dtype) -> np.ndarray:
+    """The output of a partial block. On this thread, ``conv3`` runs on the
+    first ``s.c_p`` channels of ``x`` (None passes them through). Then one
+    fresh output, of the result type of that branch and ``dtype``, is filled
+    over batch slices: the conv branch in front, and behind it what
+    ``untouched(lo, hi, out_u)`` writes for the untouched channels of images
+    ``lo:hi``. Without untouched channels the conv branch is the output."""
+    x_p = x[:, : s.c_p]
+    y_p = x_p if conv3 is None or s.c_p == 0 else conv2d(x_p, conv3)
+    if s.c_u == 0:
+        return y_p
+    out = np.empty(x.shape, np.result_type(y_p, dtype))
+
+    def part(lo, hi):
+        out[lo:hi, : s.c_p] = y_p[lo:hi]
+        untouched(lo, hi, out[lo:hi, s.c_p :])
+
+    _over_batch(part, len(x))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +122,12 @@ def gaussian_se_gate(x_u: np.ndarray, p: PatChParams) -> np.ndarray:
 
 
 def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray:
-    x_p, x_u = channel_split(x, s)
-    y_p = conv2d(x_p, p.conv3) if s.c_p > 0 else x_p
-    if s.c_u == 0:
-        return y_p
+    x_u = channel_split(x, s)[1]
+    if s.c_u == 0:  # nothing is gated, and the block has no gate head
+        return _partial(x, s, p.conv3, None, x_u.dtype)
     gate = gaussian_se_gate(x_u, p)[:, :, None, None]
-    out = np.empty(x.shape, np.result_type(y_p, x_u, gate))
-
-    def part(lo, hi):
-        out[lo:hi, : s.c_p] = y_p[lo:hi]
-        np.multiply(x_u[lo:hi], gate[lo:hi], out=out[lo:hi, s.c_p :])
-
-    _over_batch(part, len(x))
-    return out
+    return _partial(x, s, p.conv3, lambda lo, hi, out: np.multiply(
+        x_u[lo:hi], gate[lo:hi], out=out), np.result_type(x_u, gate))
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +156,9 @@ def pat_sp_forward(x: np.ndarray, p: PatSpParams, s: PartialSplit) -> np.ndarray
 
 def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit) -> np.ndarray:
     """Multiply the untouched channels of ``x`` by the (n, 1, h, w) map."""
-    x_p, x_u = channel_split(x, s)
-    if s.c_u == 0:
-        return x
-    out = np.empty(x.shape, np.result_type(x, a))
-
-    def part(lo, hi):
-        out[lo:hi, : s.c_p] = x_p[lo:hi]
-        np.multiply(x_u[lo:hi], a[lo:hi], out=out[lo:hi, s.c_p :])
-
-    _over_batch(part, len(x))
-    return out
+    x_u = channel_split(x, s)[1]
+    return _partial(x, s, None, lambda lo, hi, out: np.multiply(
+        x_u[lo:hi], a[lo:hi], out=out), np.result_type(x, a))
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +227,20 @@ def attention_bias(p: PatSfParams) -> np.ndarray:
 
 
 def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray:
-    x_p, x_u = channel_split(x, s)
-    n, c_u, h, w = x_u.shape
+    x_u = channel_split(x, s)[1]
+    h, w = x_u.shape[2:]
     if (h, w) != p.rpe_hw:
         raise ShapeError(
             f"self-attention extent {h}x{w} does not match the "
             f"{p.rpe_hw[0]}x{p.rpe_hw[1]} relative-position table")
-
-    y_p = conv2d(x_p, p.conv3) if s.c_p > 0 else x_p
-    if c_u == 0:
-        return y_p
-
     dt = x_u.dtype
+    if s.c_u == 0:  # nothing attends, and no position bias is built
+        return _partial(x, s, p.conv3, None, dt)
     weights = [m.astype(dt, copy=False)
                for m in (p.wq.T, p.bq, p.wk.T, p.bk, p.wv.T, p.bv, p.wo.T, p.bo)]
     bias = p.position_bias.astype(dt, copy=False)
-    # both branches go straight into one output buffer, no concat copy
-    out = np.empty(x.shape, np.result_type(y_p, x_u))
-
-    def part(lo, hi):
-        out[lo:hi, : s.c_p] = y_p[lo:hi]
-        _attend(x_u[lo:hi], weights, bias, p.heads, out[lo:hi, s.c_p :])
-
-    _over_batch(part, n)
-    return out
+    return _partial(x, s, p.conv3, lambda lo, hi, out: _attend(
+        x_u[lo:hi], weights, bias, p.heads, out), dt)
 
 
 # Per-image projection GEMMs of at most this many MACs are not folded over
@@ -300,6 +288,6 @@ def _attend(x_u: np.ndarray, weights: list, bias: np.ndarray, heads: int,
 
 def pconv_forward(x: np.ndarray, conv3: ConvParams, s: PartialSplit) -> np.ndarray:
     """Partial convolution: conv on the split branch, identity elsewhere."""
-    x_p, x_u = channel_split(x, s)
-    y_p = conv2d(x_p, conv3) if s.c_p > 0 else x_p
-    return channel_concat(y_p, x_u)
+    x_u = channel_split(x, s)[1]
+    return _partial(x, s, conv3, lambda lo, hi, out: np.copyto(out, x_u[lo:hi]),
+                    x_u.dtype)

@@ -51,8 +51,10 @@ def load_ppm(path) -> np.ndarray:
     for what in ("width", "height", "maxval"):
         tok, pos = _read_token(blob, pos)
         try:
+            if not tok.isdigit():  # int() would also take a sign and '_'
+                raise ValueError(tok)
             fields.append(int(tok))
-        except ValueError:
+        except ValueError:  # also a token with more digits than int() reads
             raise ImageFormatError(
                 f"PPM {what} {tok[:16]!r} is not a decimal number") from None
     width, height, maxval = fields

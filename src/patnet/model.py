@@ -216,17 +216,16 @@ class Mlp(_Op):
 
 @dataclass(frozen=True, eq=False)
 class Residual(_Op):
-    """Adds the shortcut to the branch output, in place when the branch
-    output is a buffer of its own; a branch may return a view of its input
-    (``channel_concat`` and ``apply_spatial_gate`` do when a side is empty)."""
+    """Adds the shortcut to the branch output in place. Every branch op
+    returns a buffer of its own, never memory shared with its input (the
+    partial blocks through ``blocks._partial``), so the add never writes
+    into the shortcut."""
 
     name: str
     macs: int = 0
     saves = True
 
     def __call__(self, x, skip):
-        if np.may_share_memory(x, skip):
-            return skip + x
         T._over_batch(lambda lo, hi: np.add(skip[lo:hi], x[lo:hi], out=x[lo:hi]), len(x))
         return x
 

@@ -11,7 +11,7 @@ from patnet.blocks import (
     PatChParams,
     PatSfParams,
     PatSpParams,
-    channel_concat,
+    apply_spatial_gate,
     channel_split,
     gaussian_se_gate,
     pat_ch_forward,
@@ -27,6 +27,12 @@ from conftest import rand_t4
 
 def make_conv3(rng, c):
     w = rng.standard_normal((c, c, 3, 3)).astype(np.float32) / 3.0
+    return ConvParams(w, padding=1)
+
+
+def identity_conv3(c):
+    w = np.zeros((c, c, 3, 3), np.float32)
+    w[np.arange(c), np.arange(c), 1, 1] = 1.0
     return ConvParams(w, padding=1)
 
 
@@ -69,20 +75,7 @@ class TestSplitConcat:
     def test_round_trip_bitwise(self, rng):
         x = rand_t4(rng, 2, 8, 3, 3)
         s = PartialSplit(8, 2)
-        assert np.array_equal(channel_concat(*channel_split(x, s)), x)
-
-    def test_concat_empty_left(self, rng):
-        x = rand_t4(rng, 1, 3, 2, 2)
-        assert channel_concat(x[:, :0], x) is x
-
-    def test_concat_shape_algebra(self, rng):
-        a = rand_t4(rng, 1, 16, 7, 7)
-        b = rand_t4(rng, 1, 48, 7, 7)
-        assert channel_concat(a, b).shape == (1, 64, 7, 7)
-
-    def test_concat_spatial_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            channel_concat(rand_t4(rng, 1, 2, 3, 3), rand_t4(rng, 1, 2, 4, 4))
+        assert np.array_equal(pconv_forward(x, identity_conv3(s.c_p), s), x)
 
     def test_split_channel_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -93,7 +86,7 @@ class TestSplitConcat:
     def test_round_trip_property(self, c_p, seed):
         x = np.random.default_rng(seed).standard_normal((1, 8, 2, 2)).astype(np.float32)
         s = PartialSplit(8, c_p)
-        assert np.array_equal(channel_concat(*channel_split(x, s)), x)
+        assert np.array_equal(pconv_forward(x, identity_conv3(c_p), s), x)
 
 
 class TestGaussianSeGate:
@@ -419,3 +412,20 @@ class TestPConv:
                             b2=np.full(c - cp, 40.0, np.float32))
         assert np.array_equal(pconv_forward(x, conv, PartialSplit(c, cp)),
                               pat_ch_forward(x, forced, PartialSplit(c, cp)))
+
+
+@pytest.mark.parametrize("cp", [0, 2])
+def test_partial_blocks_never_return_memory_of_their_input(rng, cp):
+    # the residual add writes into a block's output in place
+    c, hw = 8, 3
+    x = rand_t4(rng, 2, c, hw, hw)
+    s = PartialSplit(c, cp)
+    conv = make_conv3(rng, cp) if cp else None
+    outs = {
+        "pat_ch": pat_ch_forward(x, make_patch(rng, c - cp, conv=conv), s),
+        "pat_sf": pat_sf_forward(x, make_patsf(rng, c - cp, 2, hw, conv=conv), s),
+        "spatial_gate": apply_spatial_gate(x, rand_t4(rng, 2, 1, hw, hw), s),
+        "pconv": pconv_forward(x, make_conv3(rng, cp or 1), s),
+    }
+    for name, out in outs.items():
+        assert out.shape == x.shape and not np.may_share_memory(out, x), name

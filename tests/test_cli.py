@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import patnet
 from patnet.cli import cli_dispatch
 from patnet.imageio import save_ppm
 from patnet.model import ParamStore
@@ -91,8 +93,13 @@ class TestUsageErrors:
         assert cli_dispatch(["summary", "--variant", "XXL"]) == 2
 
     def test_subprocess_usage_error(self):
+        # the child imports the patnet under test, also when only pytest's
+        # pythonpath setting put it on sys.path
+        src = os.path.dirname(os.path.dirname(patnet.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "patnet", "nonsense"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 2
         assert proc.stderr  # usage text lands on stderr
 

@@ -108,6 +108,13 @@ class TestGradcheckBlock:
         report = gradcheck_block(kind, seed=seed)
         assert report.passed, (kind, seed, report.errors)
 
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    @pytest.mark.parametrize("c_p", [0, 8])
+    def test_no_conv_and_all_conv_splits(self, kind, c_p):
+        # at c_p == channels the lowering builds no gate and empty projections
+        report = gradcheck_block(kind, sizes=dict(channels=8, c_p=c_p, heads=2))
+        assert report.passed, (kind, c_p, report.errors)
+
     def test_injected_fault_detected(self):
         report = gradcheck_block("pat_ch", seed=0, corrupt=0.1)
         assert not report.passed

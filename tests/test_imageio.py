@@ -72,9 +72,15 @@ class TestLoadPpm:
 
     def test_non_numeric_header_field(self, tmp_path):
         p = tmp_path / "n.ppm"
-        p.write_bytes(b"P6\nabc 1\n255\n\x00\x00\x00")
-        with pytest.raises(ImageFormatError, match="width"):
-            load_ppm(p)
+        for header, field in ((b"P6\nabc 1\n255\n", "width"),
+                              (b"P6\n+2 +2\n+255\n", "width"),
+                              (b"P6\n1_0 1\n255\n", "width"),
+                              (b"P6\n1 -0\n255\n", "height"),
+                              (b"P6\n1 1\n+255\n", "maxval"),
+                              (b"P6\n1 1\n2_55\n", "maxval")):
+            p.write_bytes(header + b"\x00" * 30)
+            with pytest.raises(ImageFormatError, match=field):
+                load_ppm(p)
 
     def test_zero_extent_rejected(self, tmp_path):
         p = tmp_path / "z.ppm"
