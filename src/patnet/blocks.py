@@ -8,7 +8,9 @@ reweighted by an attention gate (copied, in plain partial convolution), and
 fresh output. So no block returns memory shared with its input, except the
 spatial gate of a split without untouched channels, which returns its input.
 Setting ``c_p = 0`` turns a block into its full-attention counterpart;
-``c_p = c_total`` degrades it to the dense convolution.
+``c_p = c_total`` degrades it to the dense convolution. The model's dense
+and depthwise study arms are that case: ``pconv_forward`` over every
+channel, which returns the conv's own output.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .tensor_ops import ShapeError
+
 HEAD_DIM = 32
 
 # name -> (base channels, per-stage depths, activation)
@@ -97,6 +99,16 @@ class ModelSpec:
         return self.config.activation
 
 
+def check_extent(h: int, w: int) -> None:
+    """Reject an input extent that the stem and the three merges cannot
+    reduce to whole positions: each side must be a multiple of 32, at least
+    32."""
+    if min(h, w) < 32:
+        raise ShapeError(f"input extent {h}x{w} below the minimum of 32")
+    if h % 32 != 0 or w % 32 != 0:
+        raise ShapeError(f"input extent {h}x{w} not divisible by 32")
+
+
 def _make_block(channels: int, ratio: float, mlp_ratio: int,
                 last_stage: bool) -> BlockSpec:
     c_p = int(round(channels * ratio))
@@ -115,10 +127,7 @@ def _make_block(channels: int, ratio: float, mlp_ratio: int,
 def build_spec(config: VariantConfig, input_size: int = 224,
                label: str | None = None) -> ModelSpec:
     """Assemble the block list for ``config`` at a square input size."""
-    if input_size < 32:
-        raise ValueError(f"input size {input_size} below the minimum of 32")
-    if input_size % 32 != 0:
-        raise ValueError(f"input size {input_size} not divisible by 32")
+    check_extent(input_size, input_size)
     widths = tuple(config.stage_width(i) for i in range(1, 5))
     stages = []
     for i, (c, depth) in enumerate(zip(widths, config.depths), start=1):
@@ -141,9 +150,7 @@ def build_variant(name: str, input_size: int = 224) -> ModelSpec:
 
 
 def _map_blocks(spec: ModelSpec, fn) -> ModelSpec:
-    stages = tuple(
-        tuple(fn(stage_idx, blk) for blk in blocks)
-        for stage_idx, blocks in enumerate(spec.stages, start=1))
+    stages = tuple(tuple(fn(blk) for blk in blocks) for blocks in spec.stages)
     return dataclasses.replace(spec, stages=stages)
 
 
@@ -159,32 +166,30 @@ def build_ablation(spec: ModelSpec, mode: str) -> ModelSpec:
     label = f"{spec.label}+{mode}"
 
     if mode == "full_ch":
-        out = _map_blocks(spec, lambda s, b: dataclasses.replace(b, mixer_cp=0)
+        out = _map_blocks(spec, lambda b: dataclasses.replace(b, mixer_cp=0)
                           if b.mixer == "pat_ch" else b)
     elif mode == "full_sp":
-        out = _map_blocks(spec, lambda s, b: dataclasses.replace(b, sp_cp=0)
+        out = _map_blocks(spec, lambda b: dataclasses.replace(b, sp_cp=0)
                           if b.sp_cp is not None else b)
     elif mode == "full_sf":
         out = _map_blocks(
             spec,
-            lambda s, b: dataclasses.replace(b, mixer_cp=0,
-                                             heads=b.channels // HEAD_DIM)
+            lambda b: dataclasses.replace(b, mixer_cp=0, heads=b.channels // HEAD_DIM)
             if b.mixer == "pat_sf" else b)
     elif mode == "no_patch":
-        out = _map_blocks(spec, lambda s, b: dataclasses.replace(b, mixer="pconv")
+        out = _map_blocks(spec, lambda b: dataclasses.replace(b, mixer="pconv")
                           if b.mixer == "pat_ch" else b)
     elif mode == "no_patsp":
-        out = _map_blocks(spec, lambda s, b: dataclasses.replace(b, sp_cp=None))
+        out = _map_blocks(spec, lambda b: dataclasses.replace(b, sp_cp=None))
     elif mode == "no_patsf":
         out = _map_blocks(
             spec,
-            lambda s, b: dataclasses.replace(b, mixer="pat_ch", heads=None)
+            lambda b: dataclasses.replace(b, mixer="pat_ch", heads=None)
             if b.mixer == "pat_sf" else b)
     elif mode == "conv_dense":
         out = _map_blocks(
             spec,
-            lambda s, b: dataclasses.replace(b, mixer="conv_dense",
-                                             mixer_cp=b.channels)
+            lambda b: dataclasses.replace(b, mixer="conv_dense", mixer_cp=b.channels)
             if b.mixer == "pat_ch" else b)
     elif mode == "conv_dw":
         out = _widen_for_dwconv(spec)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .config import ModelSpec
+from .config import ModelSpec, check_extent
 from .model import iter_param_schema, plan_and_schema
 
 
@@ -23,10 +23,6 @@ def count_params(spec: ModelSpec, fused: bool = False) -> int:
 def count_flops(spec: ModelSpec, hw: tuple[int, int] = (224, 224),
                 fused: bool = False) -> int:
     """MACs of one sample at input extent ``hw``."""
-    h, w = hw
-    if min(h, w) < 32:
-        raise ValueError(f"input extent {h}x{w} below the minimum of 32")
-    if h % 32 != 0 or w % 32 != 0:
-        raise ValueError(f"input extent {h}x{w} not divisible by 32")
-    spec = dataclasses.replace(spec, input_hw=(h, w))
+    check_extent(*hw)
+    spec = dataclasses.replace(spec, input_hw=tuple(hw))
     return plan_and_schema(spec, fused)[0].macs

@@ -14,7 +14,9 @@ spatial-attention reweighting (absent in some study configurations).
 ``build_plan`` lowers a ``(ModelSpec, ParamStore)`` pair into a ``Plan``: a
 flat tuple of typed ops (embed, merge, mixer, MLP with its gate, residual,
 head), each holding its resolved parameter bundles, its MACs per image and a
-stable name. The lowering is the one place that names, shapes and
+stable name. Every mixer is one ``Mixer`` op, a partial block from
+``blocks``; the dense and depthwise study arms run as partial convs over
+every channel. The lowering is the one place that names, shapes and
 initializes stored tensors: each is asked for through a ``take`` callable,
 in storage order. ``build_plan``'s ``take`` reads the store;
 ``plan_and_schema``'s records a ``ParamDef`` and hands back a zero-stride
@@ -40,7 +42,7 @@ import numpy as np
 from . import blocks as B
 from . import tensor_ops as T
 from .blocks import PartialSplit, PatChParams, PatSfParams, PatSpParams
-from .config import BlockSpec, ModelSpec
+from .config import BlockSpec, ModelSpec, check_extent
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 BN_EPS = 1e-5
@@ -131,48 +133,19 @@ class Stem(_Op):
 
 
 @dataclass(frozen=True, eq=False)
-class PatChMixer(_Op):
+class Mixer(_Op):
+    """A partial block: ``forward`` names the ``blocks`` function that runs
+    ``params`` over ``split``. The dense and depthwise study arms are
+    ``pconv_forward`` over every channel."""
+
     name: str
     macs: int
-    params: PatChParams
+    forward: str  # pat_ch_forward | pat_sf_forward | pconv_forward
+    params: PatChParams | PatSfParams | ConvParams
     split: PartialSplit
 
     def __call__(self, x, skip):
-        return B.pat_ch_forward(x, self.params, self.split)
-
-
-@dataclass(frozen=True, eq=False)
-class PatSfMixer(_Op):
-    name: str
-    macs: int
-    params: PatSfParams
-    split: PartialSplit
-
-    def __call__(self, x, skip):
-        return B.pat_sf_forward(x, self.params, self.split)
-
-
-@dataclass(frozen=True, eq=False)
-class PConvMixer(_Op):
-    name: str
-    macs: int
-    conv: ConvParams
-    split: PartialSplit
-
-    def __call__(self, x, skip):
-        return B.pconv_forward(x, self.conv, self.split)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvMixer(_Op):
-    """Dense or depthwise 3x3 conv over all channels."""
-
-    name: str
-    macs: int
-    conv: ConvParams
-
-    def __call__(self, x, skip):
-        return T.conv2d(x, self.conv)
+        return getattr(B, self.forward)(x, self.params, self.split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +281,7 @@ def _stem(take, fused: bool, name: str, in_ch: int, out_ch: int, k: int,
     return Stem(name, _conv_macs(conv, hw), conv, bn)
 
 
-def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int):
+def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int) -> Mixer:
     name = f"{prefix}.mixer"
     c, cp = b.channels, b.mixer_cp
     split = PartialSplit(c, cp)
@@ -317,13 +290,14 @@ def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int):
         at = f"{prefix}.patch"
         conv = _conv(take, f"{at}.conv3", cp, cp, 3, padding=1) if cp > 0 else None
         if c_u == 0:
-            return PatChMixer(name, _conv_macs(conv, hw), PatChParams(conv), split)
+            return Mixer(name, _conv_macs(conv, hw), "pat_ch_forward",
+                         PatChParams(conv), split)
         hid = B.se_hidden_width(c_u)
         w1, b1 = _dense(take, f"{at}.se.w1", f"{at}.se.b1", hid, 2 * c_u)
         w2, b2 = _dense(take, f"{at}.se.w2", f"{at}.se.b2", c_u, hid)
         gate = w1.size + w2.size + c_u * hw
-        return PatChMixer(name, _conv_macs(conv, hw) + gate,
-                          PatChParams(conv, w1, b1, w2, b2), split)
+        return Mixer(name, _conv_macs(conv, hw) + gate, "pat_ch_forward",
+                     PatChParams(conv, w1, b1, w2, b2), split)
     if b.mixer == "pat_sf":
         at = f"{prefix}.patsf"
         conv = _conv(take, f"{at}.conv3", cp, cp, 3, padding=1) if cp > 0 else None
@@ -335,17 +309,19 @@ def _mixer(take, prefix: str, b: BlockSpec, rpe_hw: tuple[int, int], hw: int):
                         rpe_hw=rpe_hw)
         projections = hw * (p.wq.size + p.wk.size + p.wv.size + p.wo.size)
         macs = _conv_macs(conv, hw) + projections + 2 * hw * hw * c_u
-        return PatSfMixer(name, macs, p, split)
+        return Mixer(name, macs, "pat_sf_forward", p, split)
+    # the dense and depthwise study arms are partial convs over every channel
     if b.mixer == "pconv":
         conv = _conv(take, f"{prefix}.pconv.conv3", cp, cp, 3, padding=1)
-        return PConvMixer(name, _conv_macs(conv, hw), conv, split)
-    if b.mixer == "conv_dense":
+    elif b.mixer == "conv_dense":
         conv = _conv(take, f"{prefix}.conv.conv3", c, c, 3, padding=1)
-        return ConvMixer(name, _conv_macs(conv, hw), conv)
-    if b.mixer == "conv_dw":
+        split = PartialSplit(c, c)
+    elif b.mixer == "conv_dw":
         conv = _conv(take, f"{prefix}.dwconv.conv3", c, c, 3, padding=1, groups=c)
-        return ConvMixer(name, _conv_macs(conv, hw), conv)
-    raise ValueError(f"unknown mixer {b.mixer!r}")
+        split = PartialSplit(c, c)
+    else:
+        raise ValueError(f"unknown mixer {b.mixer!r}")
+    return Mixer(name, _conv_macs(conv, hw), "pconv_forward", conv, split)
 
 
 def _gate_map(take, prefix: str, c: int) -> PatSpParams:
@@ -504,8 +480,7 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"model input must have 3 channels, got {c}")
-    if h % 32 != 0 or w % 32 != 0:
-        raise ShapeError(f"input extent {h}x{w} not divisible by 32")
+    check_extent(h, w)
     if (h, w) != spec.input_hw:
         raise ShapeError(
             f"input extent {h}x{w} does not match the {spec.input_hw[0]}x"

@@ -40,7 +40,7 @@ def models():
         base = build_variant(variant, input_size=SIZE)
         yield variant, base
         if variant == "T2":
-            for mode in ("conv_dw", "no_patsp", "full_sf", "no_patch"):
+            for mode in ("conv_dense", "conv_dw", "no_patsp", "full_sf", "no_patch"):
                 yield f"{variant}-{mode}", build_ablation(base, mode)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import platform
 import resource
 import tracemalloc
@@ -20,6 +21,7 @@ from patnet.config import (
 from patnet.counting import count_flops
 from patnet.fusion import fuse_model
 from patnet.model import (
+    Mixer,
     ParamStore,
     build_plan,
     init_params,
@@ -129,6 +131,11 @@ class TestInitParams:
     def test_all_float32(self):
         store = init_params(tiny_spec(), seed=0)
         assert all(t.dtype == np.float32 for t in store.tensors.values())
+
+    def test_membership_by_name(self):
+        store = init_params(tiny_spec(), seed=0)
+        assert "embed.conv.weight" in store
+        assert "embed.conv.bogus" not in store
 
 
 class TestModelForward:
@@ -270,6 +277,38 @@ class TestPlan:
                     assert (count_flops(spec, (448, 448), fused)
                             == analytic_flops(spec, (448, 448), fused)), (mode, fused)
 
+    def test_every_mixer_is_a_partial_block(self, rng):
+        # the dense and depthwise arms run as partial convs over every
+        # channel, bitwise the plain conv
+        base = build_variant("T0", input_size=64)
+        composed = base
+        for mode in ("no_patsf", "full_ch", "no_patch"):
+            composed = build_ablation(composed, mode)
+        for spec in (base, composed, *(build_ablation(base, m) for m in ABLATION_MODES)):
+            mixers = [op for op in plan_and_schema(spec)[0].ops
+                      if op.name.endswith(".mixer")]
+            assert len(mixers) == sum(map(len, spec.stages)), spec.label
+            for op in mixers:
+                assert type(op) is Mixer, (spec.label, op.name)
+                assert inspect.isfunction(getattr(blocks, op.forward)), (spec.label, op.name)
+        for mode in ("conv_dense", "conv_dw"):
+            spec = build_ablation(base, mode)
+            plan = build_plan(spec, init_params(spec, seed=5))
+            mixers = iter(op for op in plan.ops if op.name.endswith(".mixer"))
+            checked = 0
+            for si, stage in enumerate(spec.stages):
+                hw = spec.input_hw[0] // (4 << si)
+                for b, op in zip(stage, mixers):
+                    if b.mixer != mode:
+                        continue
+                    for n in (1, 3):
+                        x = rand_t4(rng, n, b.channels, hw, hw)
+                        y, ref = op(x, None), tensor_ops.conv2d(x, op.params)
+                        assert y.shape == ref.shape and y.tobytes() == ref.tobytes(), (
+                            mode, op.name, n)
+                    checked += 1
+            assert checked == sum(spec.config.depths[:3]), mode
+
     def test_built_once_per_store(self, rng, monkeypatch):
         spec = tiny_spec()
         store = init_params(spec, seed=5)
@@ -321,7 +360,8 @@ class TestPlan:
         assert calls == {"conv2d": 4 + 4 * (3 if fused else 4), "activation": 4 + 1}
 
     def test_residual_never_writes_into_the_block_input(self, rng):
-        # a pconv mixer without conv channels returns a view of its input
+        # a pconv mixer without conv channels copies its whole input, and the
+        # residual adds into that copy
         spec = tiny_spec()
         for mode in ("no_patsf", "full_ch", "no_patch"):
             spec = build_ablation(spec, mode)
