@@ -135,8 +135,7 @@ class Stem(_Op):
 @dataclass(frozen=True, eq=False)
 class Mixer(_Op):
     """A partial block: ``forward`` names the ``blocks`` function that runs
-    ``params`` over ``split``. The dense and depthwise study arms are
-    ``pconv_forward`` over every channel."""
+    ``params`` over ``split``, looked up on every call."""
 
     name: str
     macs: int
