@@ -26,18 +26,6 @@ VARIANT_TABLE = {
     "L": (160, (2, 3, 20, 4), "relu"),
 }
 
-ABLATION_MODES = (
-    "full_ch",
-    "full_sp",
-    "full_sf",
-    "no_patch",
-    "no_patsp",
-    "no_patsf",
-    "conv_dense",
-    "conv_dw",
-    "depths_2284",
-)
-
 # published reference costs, used by tests and the summary command
 REFERENCE_PARAMS_M = {"T0": 4.3, "T1": 7.8, "T2": 12.6, "S": 29.0, "M": 61.3, "L": 104.3}
 REFERENCE_FLOPS_G = {"T0": 0.25, "T1": 0.55, "T2": 1.03, "S": 2.71, "M": 6.69, "L": 11.91}
@@ -82,13 +70,20 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Fully resolved layer list for one buildable model."""
+    """Fully resolved layer list for one buildable model.
+
+    The block list is the whole model: a stage's width is the width of its
+    blocks, so widening a study arm's blocks widens its stages too.
+    """
 
     config: VariantConfig
     input_hw: tuple[int, int]
-    stage_channels: tuple[int, int, int, int]
     stages: tuple[tuple[BlockSpec, ...], ...]
     label: str = ""
+
+    @property
+    def stage_channels(self) -> tuple[int, ...]:
+        return tuple(blocks[0].channels for blocks in self.stages)
 
     @property
     def final_hw(self) -> tuple[int, int]:
@@ -124,20 +119,16 @@ def _make_block(channels: int, ratio: float, mlp_ratio: int,
     return BlockSpec(channels, "pat_ch", c_p, c_p, channels * mlp_ratio)
 
 
-def build_spec(config: VariantConfig, input_size: int = 224,
-               label: str | None = None) -> ModelSpec:
+def build_spec(config: VariantConfig, input_size: int = 224) -> ModelSpec:
     """Assemble the block list for ``config`` at a square input size."""
     check_extent(input_size, input_size)
-    widths = tuple(config.stage_width(i) for i in range(1, 5))
-    stages = []
-    for i, (c, depth) in enumerate(zip(widths, config.depths), start=1):
-        blocks = tuple(
-            _make_block(c, config.partial_ratio, config.mlp_ratio, i == 4)
-            for _ in range(depth))
-        stages.append(blocks)
-    return ModelSpec(config=config, input_hw=(input_size, input_size),
-                     stage_channels=widths, stages=tuple(stages),
-                     label=label if label is not None else config.name)
+    if min(config.depths) < 1:
+        raise ValueError(f"stage depths {config.depths} must each be at least 1")
+    stages = tuple(
+        (_make_block(config.stage_width(i), config.partial_ratio, config.mlp_ratio,
+                     i == 4),) * depth
+        for i, depth in enumerate(config.depths, start=1))
+    return ModelSpec(config, (input_size, input_size), stages, config.name)
 
 
 def build_variant(name: str, input_size: int = 224) -> ModelSpec:
@@ -149,75 +140,61 @@ def build_variant(name: str, input_size: int = 224) -> ModelSpec:
     return build_spec(VariantConfig(name, c, depths, act), input_size)
 
 
-def _map_blocks(spec: ModelSpec, fn) -> ModelSpec:
-    stages = tuple(tuple(fn(blk) for blk in blocks) for blocks in spec.stages)
-    return dataclasses.replace(spec, stages=stages)
+def _widen(n: int) -> int:
+    if n * 5 % 4 != 0:
+        raise ValueError(f"cannot widen {n} channels by 5/4")
+    return n * 5 // 4
+
+
+def _conv_dw(b: BlockSpec) -> BlockSpec:
+    # The depthwise study arm replaces the partial conv of pat_ch blocks and
+    # widens them by 5/4, scaling whatever gate split and MLP width it finds;
+    # attention blocks keep their width so the head layout stays valid.
+    if b.mixer != "pat_ch":
+        return b
+    c = _widen(b.channels)
+    return dataclasses.replace(
+        b, channels=c, mixer="conv_dw", mixer_cp=c,
+        sp_cp=None if b.sp_cp is None else _widen(b.sp_cp),
+        mlp_hidden=_widen(b.mlp_hidden))
+
+
+# mode -> rewrite of one block; depths_2284 re-depths stages instead
+_BLOCK_MODES = {
+    "full_ch": lambda b: dataclasses.replace(b, mixer_cp=0) if b.mixer == "pat_ch" else b,
+    "full_sp": lambda b: dataclasses.replace(b, sp_cp=0) if b.sp_cp is not None else b,
+    "full_sf": lambda b: (dataclasses.replace(b, mixer_cp=0, heads=b.channels // HEAD_DIM)
+                          if b.mixer == "pat_sf" else b),
+    "no_patch": lambda b: (dataclasses.replace(b, mixer="pconv")
+                           if b.mixer == "pat_ch" else b),
+    "no_patsp": lambda b: dataclasses.replace(b, sp_cp=None),
+    "no_patsf": lambda b: (dataclasses.replace(b, mixer="pat_ch", heads=None)
+                           if b.mixer == "pat_sf" else b),
+    "conv_dense": lambda b: (
+        dataclasses.replace(b, mixer="conv_dense", mixer_cp=b.channels)
+        if b.mixer == "pat_ch" else b),
+    "conv_dw": _conv_dw,
+}
+
+ABLATION_MODES = (*_BLOCK_MODES, "depths_2284")
 
 
 def build_ablation(spec: ModelSpec, mode: str) -> ModelSpec:
     """Apply one of the study substitutions to an assembled spec.
 
-    Modes compose: feeding the result back in with another mode stacks the
-    substitutions.
+    Modes compose: each rewrites the spec it is given, so feeding the result
+    back in with another mode stacks the substitutions. ``conv_dw`` scales
+    the gate split it finds by 5/4, and ``depths_2284`` repeats each stage's
+    first block to depths 2-2-8-2, keeping whatever earlier modes made of it.
     """
     if mode not in ABLATION_MODES:
         raise ValueError(
             f"unknown ablation mode {mode!r}; valid modes: {', '.join(ABLATION_MODES)}")
     label = f"{spec.label}+{mode}"
-
-    if mode == "full_ch":
-        out = _map_blocks(spec, lambda b: dataclasses.replace(b, mixer_cp=0)
-                          if b.mixer == "pat_ch" else b)
-    elif mode == "full_sp":
-        out = _map_blocks(spec, lambda b: dataclasses.replace(b, sp_cp=0)
-                          if b.sp_cp is not None else b)
-    elif mode == "full_sf":
-        out = _map_blocks(
-            spec,
-            lambda b: dataclasses.replace(b, mixer_cp=0, heads=b.channels // HEAD_DIM)
-            if b.mixer == "pat_sf" else b)
-    elif mode == "no_patch":
-        out = _map_blocks(spec, lambda b: dataclasses.replace(b, mixer="pconv")
-                          if b.mixer == "pat_ch" else b)
-    elif mode == "no_patsp":
-        out = _map_blocks(spec, lambda b: dataclasses.replace(b, sp_cp=None))
-    elif mode == "no_patsf":
-        out = _map_blocks(
-            spec,
-            lambda b: dataclasses.replace(b, mixer="pat_ch", heads=None)
-            if b.mixer == "pat_sf" else b)
-    elif mode == "conv_dense":
-        out = _map_blocks(
-            spec,
-            lambda b: dataclasses.replace(b, mixer="conv_dense", mixer_cp=b.channels)
-            if b.mixer == "pat_ch" else b)
-    elif mode == "conv_dw":
-        out = _widen_for_dwconv(spec)
-    else:  # depths_2284
-        cfg = dataclasses.replace(spec.config, depths=(2, 2, 8, 2))
-        out = build_spec(cfg, spec.input_hw[0])
-    return dataclasses.replace(out, label=label)
-
-
-def _widen_for_dwconv(spec: ModelSpec) -> ModelSpec:
-    # The depthwise study arm is widened by 5/4 in the stages where the
-    # depthwise conv replaces the partial-attention conv (stages 1-3); the
-    # attention stage keeps its width so the head layout stays valid.
-    widths = list(spec.stage_channels)
-    stages = []
-    for i, blocks in enumerate(spec.stages, start=1):
-        out_blocks = []
-        for b in blocks:
-            if b.mixer == "pat_ch":
-                c = b.channels * 5 // 4
-                if b.channels * 5 % 4 != 0 or c % 4 != 0:
-                    raise ValueError(f"cannot widen {b.channels} channels by 5/4")
-                widths[i - 1] = c
-                b = dataclasses.replace(
-                    b, channels=c, mixer="conv_dw", mixer_cp=c,
-                    sp_cp=None if b.sp_cp is None else c // 4,
-                    mlp_hidden=c * spec.config.mlp_ratio)
-            out_blocks.append(b)
-        stages.append(tuple(out_blocks))
-    return dataclasses.replace(spec, stage_channels=tuple(widths),
-                               stages=tuple(stages))
+    if mode == "depths_2284":
+        config = dataclasses.replace(spec.config, depths=(2, 2, 8, 2))
+        stages = tuple(blocks[:1] * d for blocks, d in zip(spec.stages, config.depths))
+        return dataclasses.replace(spec, config=config, stages=stages, label=label)
+    rewrite = _BLOCK_MODES[mode]
+    stages = tuple(tuple(map(rewrite, blocks)) for blocks in spec.stages)
+    return dataclasses.replace(spec, stages=stages, label=label)

@@ -152,8 +152,6 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     n, c, h, w = x.shape
     if c != p.in_ch:
         raise ShapeError(f"conv2d: input channels {c} != weight in_ch {p.in_ch}")
-    if c % p.groups != 0:
-        raise ShapeError(f"conv2d: channels {c} not divisible by groups {p.groups}")
     oh, ow = conv_out_hw(h, w, p)
     if oh < 1 or ow < 1:
         raise ShapeError(
@@ -405,9 +403,9 @@ def _softmax_in_place(shifted: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
-        raise ShapeError(
-            f"matmul: inner dims disagree ({a.shape[-1]} vs {b.shape[0]})")
+    k = b.shape[-2 if b.ndim > 1 else -1]
+    if a.shape[-1] != k:
+        raise ShapeError(f"matmul: inner dims disagree ({a.shape[-1]} vs {k})")
     return np.matmul(a, b)
 
 

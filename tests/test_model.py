@@ -232,12 +232,33 @@ class TestAblations:
         assert spec.stage_channels == base.stage_channels
         assert [len(s) for s in spec.stages] == [2, 2, 8, 2]
 
+    @pytest.mark.parametrize("variant", list(VARIANT_TABLE))
+    def test_depths_2284_commutes_with_every_mode(self, variant):
+        base = build_variant(variant)
+        deep = build_ablation(base, "depths_2284")
+        for mode in ABLATION_MODES:
+            after = build_ablation(build_ablation(base, mode), "depths_2284")
+            before = build_ablation(deep, mode)
+            assert after.stages == before.stages, mode
+            assert after.config == before.config == deep.config, mode
+
+    def test_conv_dw_keeps_a_full_gate_split(self):
+        spec = build_ablation(build_ablation(build_variant("T2"), "full_sp"), "conv_dw")
+        assert all(b.sp_cp == 0 for st in spec.stages for b in st)
+
+    def test_empty_stage_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            tiny_spec(depths=(1, 1, 0, 1))
+
     def test_conv_dw_widens_early_stages_only(self):
         spec = build_ablation(build_variant("T2"), "conv_dw")
         assert spec.stage_channels == (80, 160, 320, 512)
         assert all(b.mixer == "conv_dw" for st in spec.stages[:3] for b in st)
         assert all(b.mixer == "pat_sf" and b.channels == 512
                    for b in spec.stages[3])
+        deep = build_ablation(spec, "depths_2284")
+        assert deep.stage_channels == (80, 160, 320, 512)
+        assert [len(s) for s in deep.stages] == [2, 2, 8, 2]
 
     def test_fasternet_composite_structure(self):
         # stripping all three attention paths leaves plain pconv blocks;

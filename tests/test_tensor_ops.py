@@ -318,5 +318,9 @@ class TestMatmul:
         assert np.abs(matmul(a, b) - ref.matmul_naive(a, b)).max() <= 1e-5
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="inner dims"):
+        # the message names the two dimensions compared, for a 2-d and a
+        # stacked right operand
+        with pytest.raises(ShapeError, match=r"inner dims disagree \(3 vs 4\)"):
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
+        with pytest.raises(ShapeError, match=r"inner dims disagree \(3 vs 5\)"):
+            matmul(np.zeros((2, 1, 3), np.float32), np.zeros((2, 5, 6), np.float32))
