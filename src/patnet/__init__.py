@@ -15,7 +15,6 @@ from .blocks import (
 from .config import (
     ABLATION_MODES,
     ModelSpec,
-    VariantConfig,
     build_ablation,
     build_spec,
     build_variant,
@@ -52,7 +51,6 @@ __all__ = [
     "PatSfParams",
     "PatSpParams",
     "ShapeError",
-    "VariantConfig",
     "activation",
     "batch_norm_infer",
     "block_vjp",

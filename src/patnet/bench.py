@@ -58,7 +58,7 @@ def bench_run(spec: ModelSpec, store: ParamStore, batch: int, iters: int,
 
     lat = np.sort(np.asarray(latencies))
     return BenchReport(
-        variant=spec.label or spec.config.name,
+        variant=spec.label,
         batch_size=batch,
         warmup_iters=warmup,
         measured_iters=iters,

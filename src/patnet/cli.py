@@ -124,8 +124,6 @@ def _cmd_init(args) -> int:
 
 def _cmd_fuse(args) -> int:
     store, variant = load_weights(args.weights)
-    if store.fused:
-        raise ValueError("weight file is already fused")
     spec = build_variant(variant)
     fused, report = fuse_model(store, spec)
     save_weights(fused, args.out)

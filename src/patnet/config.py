@@ -1,10 +1,10 @@
-"""Variant configurations and the layer-level model description.
+"""The published variants and the layer-level model description.
 
-A ``ModelSpec`` is the resolved block list of one model: widths, mixers,
-split points and depths. It names no tensors; the lowering in ``model.py``
-turns it into stored tensors and plan ops, and everything downstream
-(initialization, forward pass, counting, fusion, serialization) works from
-that lowering.
+A ``ModelSpec`` is one buildable model: its label, input extent, activation
+and block list. Widths, mixers, split points and depths live only in the
+blocks. A spec names no tensors; the lowering in ``model.py`` turns it into
+stored tensors and plan ops, and everything downstream (initialization,
+forward pass, counting, fusion, serialization) works from that lowering.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from .tensor_ops import ShapeError
 
 HEAD_DIM = 32
+# every variant splits c_p = c // PARTIAL_DIVISOR channels off for its
+# partial branches, widens its MLP to MLP_RATIO * c, and ends in the same head
+PARTIAL_DIVISOR = 4
+MLP_RATIO = 2
+CLASSIFIER_HIDDEN = 1280
+NUM_CLASSES = 1000
 
 # name -> (base channels, per-stage depths, activation)
 VARIANT_TABLE = {
@@ -29,24 +35,6 @@ VARIANT_TABLE = {
 # published reference costs, used by tests and the summary command
 REFERENCE_PARAMS_M = {"T0": 4.3, "T1": 7.8, "T2": 12.6, "S": 29.0, "M": 61.3, "L": 104.3}
 REFERENCE_FLOPS_G = {"T0": 0.25, "T1": 0.55, "T2": 1.03, "S": 2.71, "M": 6.69, "L": 11.91}
-
-
-@dataclass(frozen=True)
-class VariantConfig:
-    """Static description of one model variant."""
-
-    name: str
-    base_channels: int
-    depths: tuple[int, int, int, int]
-    activation: str
-    partial_ratio: float = 0.25
-    mlp_ratio: int = 2
-    classifier_hidden: int = 1280
-    num_classes: int = 1000
-
-    def stage_width(self, stage: int) -> int:
-        """Channel width of 1-based ``stage``; doubles at every merge."""
-        return self.base_channels * (1 << (stage - 1))
 
 
 @dataclass(frozen=True)
@@ -76,10 +64,10 @@ class ModelSpec:
     blocks, so widening a study arm's blocks widens its stages too.
     """
 
-    config: VariantConfig
+    label: str
     input_hw: tuple[int, int]
     stages: tuple[tuple[BlockSpec, ...], ...]
-    label: str = ""
+    activation: str
 
     @property
     def stage_channels(self) -> tuple[int, ...]:
@@ -88,10 +76,6 @@ class ModelSpec:
     @property
     def final_hw(self) -> tuple[int, int]:
         return self.input_hw[0] // 32, self.input_hw[1] // 32
-
-    @property
-    def activation(self) -> str:
-        return self.config.activation
 
 
 def check_extent(h: int, w: int) -> None:
@@ -104,31 +88,30 @@ def check_extent(h: int, w: int) -> None:
         raise ShapeError(f"input extent {h}x{w} not divisible by 32")
 
 
-def _make_block(channels: int, ratio: float, mlp_ratio: int,
-                last_stage: bool) -> BlockSpec:
-    c_p = int(round(channels * ratio))
-    if abs(channels * ratio - c_p) > 1e-9:
-        raise ValueError(f"channels {channels} not divisible at ratio {ratio}")
+def _make_block(channels: int, last_stage: bool) -> BlockSpec:
+    if channels % PARTIAL_DIVISOR != 0:
+        raise ValueError(f"channels {channels} not divisible by {PARTIAL_DIVISOR}")
+    c_p = channels // PARTIAL_DIVISOR
     if last_stage:
         c_u = channels - c_p
         if c_u % HEAD_DIM != 0:
             raise ValueError(
                 f"untouched width {c_u} not divisible by head_dim {HEAD_DIM}")
-        return BlockSpec(channels, "pat_sf", c_p, c_p, channels * mlp_ratio,
+        return BlockSpec(channels, "pat_sf", c_p, c_p, channels * MLP_RATIO,
                          heads=c_u // HEAD_DIM, double_residual=True)
-    return BlockSpec(channels, "pat_ch", c_p, c_p, channels * mlp_ratio)
+    return BlockSpec(channels, "pat_ch", c_p, c_p, channels * MLP_RATIO)
 
 
-def build_spec(config: VariantConfig, input_size: int = 224) -> ModelSpec:
-    """Assemble the block list for ``config`` at a square input size."""
+def build_spec(label: str, base_channels: int, depths: tuple[int, ...],
+               activation: str, input_size: int = 224) -> ModelSpec:
+    """Assemble the block list of a four-stage model whose width starts at
+    ``base_channels`` and doubles at every merge, at a square input size."""
     check_extent(input_size, input_size)
-    if min(config.depths) < 1:
-        raise ValueError(f"stage depths {config.depths} must each be at least 1")
-    stages = tuple(
-        (_make_block(config.stage_width(i), config.partial_ratio, config.mlp_ratio,
-                     i == 4),) * depth
-        for i, depth in enumerate(config.depths, start=1))
-    return ModelSpec(config, (input_size, input_size), stages, config.name)
+    if min(depths) < 1:
+        raise ValueError(f"stage depths {depths} must each be at least 1")
+    stages = tuple((_make_block(base_channels << si, si == 3),) * depth
+                   for si, depth in enumerate(depths))
+    return ModelSpec(label, (input_size, input_size), stages, activation)
 
 
 def build_variant(name: str, input_size: int = 224) -> ModelSpec:
@@ -136,8 +119,7 @@ def build_variant(name: str, input_size: int = 224) -> ModelSpec:
     if name not in VARIANT_TABLE:
         raise ValueError(
             f"unknown variant {name!r}; valid names: {', '.join(VARIANT_TABLE)}")
-    c, depths, act = VARIANT_TABLE[name]
-    return build_spec(VariantConfig(name, c, depths, act), input_size)
+    return build_spec(name, *VARIANT_TABLE[name], input_size)
 
 
 def _widen(n: int) -> int:
@@ -192,9 +174,8 @@ def build_ablation(spec: ModelSpec, mode: str) -> ModelSpec:
             f"unknown ablation mode {mode!r}; valid modes: {', '.join(ABLATION_MODES)}")
     label = f"{spec.label}+{mode}"
     if mode == "depths_2284":
-        config = dataclasses.replace(spec.config, depths=(2, 2, 8, 2))
-        stages = tuple(blocks[:1] * d for blocks, d in zip(spec.stages, config.depths))
-        return dataclasses.replace(spec, config=config, stages=stages, label=label)
+        stages = tuple(blocks[:1] * d for blocks, d in zip(spec.stages, (2, 2, 8, 2)))
+        return dataclasses.replace(spec, stages=stages, label=label)
     rewrite = _BLOCK_MODES[mode]
     stages = tuple(tuple(map(rewrite, blocks)) for blocks in spec.stages)
     return dataclasses.replace(spec, stages=stages, label=label)

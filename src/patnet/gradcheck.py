@@ -31,7 +31,6 @@ from .blocks import (
 from .config import BlockSpec
 from .tensor_ops import ConvParams, channel_stats, conv2d, hard_sigmoid, sigmoid
 
-BLOCK_KINDS = ("pat_ch", "pat_sp", "pat_sf")
 KINK_MARGIN = 1e-2
 
 
@@ -134,10 +133,12 @@ def _as_params(kind: str, params: dict[str, np.ndarray], split: PartialSplit,
 
 def block_apply(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
                 split: PartialSplit, rpe_hw=None, heads: int | None = None):
-    forward = {"pat_ch": pat_ch_forward, "pat_sp": pat_sp_forward,
-               "pat_sf": pat_sf_forward}[kind]
-    return forward(x, _as_params(kind, params, split, rpe_hw, heads), split)
+    return _KINDS[kind][0](x, _as_params(kind, params, split, rpe_hw, heads), split)
 
+
+# Each _<kind>_vjp returns (input grad, parameter grads, kink distance): the
+# smallest distance of the block's relu or hard-sigmoid pre-activations to
+# their kink, inf when the block has none.
 
 def _conv3_vjp(p, x, split, up, gx, grads):
     """Backprop the split branch's 3x3 conv, when the block has one."""
@@ -153,7 +154,7 @@ def _pat_ch_vjp(p, x, split, up):
     gx = np.zeros_like(x)
     _conv3_vjp(p, x, split, up, gx, grads)
     if split.c_u == 0:  # the lowering built no gate
-        return gx, grads
+        return gx, grads, np.inf
 
     mean, std = channel_stats(x_u)
     z = np.concatenate([mean, std], axis=1)
@@ -174,7 +175,7 @@ def _pat_ch_vjp(p, x, split, up):
     d_z = d_hpre @ p.se_w1
     c_u = split.c_u
     gx[:, cp:] += _stats_vjp(x_u, mean, std, d_z[:, :c_u], d_z[:, c_u:])
-    return gx, grads
+    return gx, grads, float(np.abs(h_pre).min())
 
 
 def _pat_sp_vjp(p, x, split, up):
@@ -191,7 +192,7 @@ def _pat_sp_vjp(p, x, split, up):
     d_apre = d_a * inside.astype(d_a.dtype) / 6.0
     gx_map, gw, gb = conv2d_vjp(x, p.map_conv, d_apre)
     gx += gx_map
-    return gx, {"map.weight": gw, "map.bias": gb}
+    return gx, {"map.weight": gw, "map.bias": gb}, float(np.abs(np.abs(a_pre) - 3.0).min())
 
 
 def _pat_sf_vjp(p, x, split, up):
@@ -201,7 +202,7 @@ def _pat_sf_vjp(p, x, split, up):
     gx = np.zeros_like(x)
     _conv3_vjp(p, x, split, up, gx, grads)
     if split.c_u == 0:  # nothing attends: block_vjp zero-fills its tensors
-        return gx, grads
+        return gx, grads, np.inf
 
     n, c_u, hh, ww = x_u.shape
     L = hh * ww
@@ -252,7 +253,16 @@ def _pat_sf_vjp(p, x, split, up):
         grads[f"b{nm[1]}"] = dm.sum(axis=(0, 1))
         d_t += dm @ getattr(p, nm)
     gx[:, cp:] = d_t.transpose(0, 2, 1).reshape(n, c_u, hh, ww)
-    return gx, grads
+    return gx, grads, np.inf
+
+
+# kind -> (block function, vjp, default probe sizes)
+_KINDS = {
+    "pat_ch": (pat_ch_forward, _pat_ch_vjp, dict(channels=8, c_p=2, hw=4)),
+    "pat_sp": (pat_sp_forward, _pat_sp_vjp, dict(channels=8, c_p=2, hw=4)),
+    "pat_sf": (pat_sf_forward, _pat_sf_vjp, dict(channels=16, c_p=4, hw=3, heads=2)),
+}
+BLOCK_KINDS = tuple(_KINDS)
 
 
 def block_vjp(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
@@ -265,8 +275,8 @@ def block_vjp(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
         raise ValueError(f"unknown block kind {kind!r}")
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input {x.shape}")
-    vjp = {"pat_ch": _pat_ch_vjp, "pat_sp": _pat_sp_vjp, "pat_sf": _pat_sf_vjp}[kind]
-    gx, grads = vjp(_as_params(kind, params, split, rpe_hw, heads), x, split, upstream)
+    p = _as_params(kind, params, split, rpe_hw, heads)
+    gx, grads, _ = _KINDS[kind][1](p, x, split, upstream)
     for name, t in params.items():  # a tensor the block leaves unused
         grads.setdefault(name, np.zeros_like(t))
     return gx, grads
@@ -276,18 +286,9 @@ def block_vjp(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
 # probe construction and the checker
 # ---------------------------------------------------------------------------
 
-DEFAULT_SIZES = {
-    "pat_ch": dict(channels=8, c_p=2, hw=4),
-    "pat_sp": dict(channels=8, c_p=2, hw=4),
-    "pat_sf": dict(channels=16, c_p=4, hw=3, heads=2),
-}
-
-
-def _block_args(kind: str, sizes: dict) -> tuple:
+def _block_args(sizes: dict) -> tuple:
     """The (rpe_hw, heads) that the block of ``sizes`` is lowered with."""
-    if kind == "pat_sf":
-        return (sizes["hw"], sizes["hw"]), sizes["heads"]
-    return None, None
+    return (sizes["hw"], sizes["hw"]), sizes.get("heads")
 
 
 def _draw(kind: str, rng, split: PartialSplit, rpe_hw, heads):
@@ -304,32 +305,19 @@ def _draw(kind: str, rng, split: PartialSplit, rpe_hw, heads):
     return params, _lower(kind, take, split, rpe_hw, heads)
 
 
-def _kink_distance(kind: str, p, x, split) -> float:
-    """Distance of the probe's pre-activation values to the nearest relu or
-    hard-sigmoid kink; large when the block has no kinks."""
-    if kind == "pat_sp":
-        a_pre = conv2d(x, p.map_conv)
-        return float(np.abs(np.abs(a_pre) - 3.0).min())
-    if kind == "pat_ch" and split.c_u:
-        x_u = x[:, split.c_p :]
-        mean, std = channel_stats(x_u)
-        z = np.concatenate([mean, std], axis=1)
-        h_pre = z @ p.se_w1.T + p.se_b1
-        return float(np.abs(h_pre).min())
-    return np.inf
-
-
 def make_probe(kind: str, seed: int, sizes: dict | None = None):
     """Seeded probe (x, split, params, upstream); resamples anything that
     lands within the kink margin of relu or hard-sigmoid."""
-    sizes = dict(DEFAULT_SIZES[kind], **(sizes or {}))
+    _, vjp, defaults = _KINDS[kind]
+    sizes = dict(defaults, **(sizes or {}))
     hw = sizes["hw"]
     split = PartialSplit(sizes["channels"], sizes["c_p"])
     for attempt in range(64):
         rng = np.random.default_rng((seed, attempt))
         x = rng.standard_normal((1, sizes["channels"], hw, hw)).astype(np.float32)
-        params, p = _draw(kind, rng, split, *_block_args(kind, sizes))
-        if _kink_distance(kind, p, x, split) > KINK_MARGIN:
+        params, p = _draw(kind, rng, split, *_block_args(sizes))
+        # the kink distance does not depend on the upstream, so x stands in
+        if vjp(p, x, split, x)[2] > KINK_MARGIN:
             break
     upstream = rng.standard_normal(x.shape).astype(np.float32)
     return x, split, params, upstream, sizes
@@ -345,7 +333,7 @@ def gradcheck_block(kind: str, seed: int = 0, sizes: dict | None = None,
     """
     x, split, params, upstream, sizes = make_probe(kind, seed, sizes)
     h = 1e-3 if dtype == np.float32 else 1e-5
-    rpe_hw, heads = _block_args(kind, sizes)
+    rpe_hw, heads = _block_args(sizes)
 
     xd = x.astype(dtype)
     pd = {k: v.astype(dtype) for k, v in params.items()}

@@ -42,7 +42,7 @@ import numpy as np
 from . import blocks as B
 from . import tensor_ops as T
 from .blocks import PartialSplit, PatChParams, PatSfParams, PatSpParams
-from .config import BlockSpec, ModelSpec, check_extent
+from .config import CLASSIFIER_HIDDEN, NUM_CLASSES, BlockSpec, ModelSpec, check_extent
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 BN_EPS = 1e-5
@@ -372,11 +372,10 @@ def _lower(spec: ModelSpec, take, fused: bool) -> Plan:
         for bi, b in enumerate(blocks):
             ops += _block_ops(take, fused, f"stage{si}.block{bi}", b, spec.activation,
                               rpe_hw, h * w)
-    hidden = spec.config.classifier_hidden
-    conv = _conv(take, "head.conv", hidden, widths[3], 1, bias=True)
-    conv_w = conv.weight.reshape(hidden, -1)
-    fc_w, fc_b = _dense(take, "head.fc.weight", "head.fc.bias",
-                        spec.config.num_classes, hidden)
+    conv = _conv(take, "head.conv", CLASSIFIER_HIDDEN, widths[3], 1, bias=True)
+    conv_w = conv.weight.reshape(CLASSIFIER_HIDDEN, -1)
+    fc_w, fc_b = _dense(take, "head.fc.weight", "head.fc.bias", NUM_CLASSES,
+                        CLASSIFIER_HIDDEN)
     ops.append(Head("head", conv_w.size + fc_w.size, conv_w, conv.bias, fc_w, fc_b,
                     spec.activation))
     return Plan(spec, tuple(ops))

@@ -259,7 +259,7 @@ def match_store(tensors: dict[str, np.ndarray],
     """Return (variant_name, fused) for the tensor names and shapes, or raise
     NameSetError. Shapes matter: T0 and T1 share every name."""
     layout = {(name, t.shape) for name, t in tensors.items()}
-    candidates = ([(spec.label or spec.config.name, spec)] if spec is not None
+    candidates = ([(spec.label, spec)] if spec is not None
                   else _variant_specs())
     for label, cand in candidates:
         for fused in (False, True):

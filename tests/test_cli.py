@@ -117,7 +117,10 @@ class TestRuntimeErrors:
                              "--out", str(fused)]) == 0
         assert cli_dispatch(["fuse", "--weights", str(fused),
                              "--out", str(tmp_path / "g.patw")]) == 1
-        assert "already fused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "already fused" in err
+        assert not (tmp_path / "g.patw").exists()
 
     @pytest.mark.parametrize("damage", ["flipped_byte", "garbage"])
     @pytest.mark.parametrize("command", ["infer", "fuse"])

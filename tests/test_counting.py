@@ -10,7 +10,7 @@ from patnet.config import (
     build_variant,
 )
 from patnet.blocks import se_hidden_width
-from patnet.config import BlockSpec
+from patnet.config import CLASSIFIER_HIDDEN, NUM_CLASSES, BlockSpec
 from patnet.counting import count_flops, count_params
 from patnet.model import init_params, iter_param_schema
 
@@ -65,8 +65,8 @@ def analytic_flops(spec, hw, fused: bool) -> int:
         for b in blocks:
             total += analytic_block_flops(b, sh * sw, fused)
     c4 = spec.stage_channels[3]
-    total += c4 * spec.config.classifier_hidden
-    total += spec.config.classifier_hidden * spec.config.num_classes
+    total += c4 * CLASSIFIER_HIDDEN
+    total += CLASSIFIER_HIDDEN * NUM_CLASSES
     return total
 
 

@@ -7,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import patnet
 from patnet import blocks
 from patnet import model as model_mod
 from patnet import tensor_ops
 from patnet.config import (
     ABLATION_MODES,
+    HEAD_DIM,
     VARIANT_TABLE,
-    VariantConfig,
+    ModelSpec,
     build_ablation,
     build_spec,
     build_variant,
@@ -33,12 +35,8 @@ from patnet.tensor_ops import BnParams, ShapeError, batch_norm_infer
 
 from conftest import rand_t4
 
-TINY = VariantConfig("tiny", 32, (1, 1, 1, 1), "gelu")
-
-
 def tiny_spec(depths=(1, 1, 1, 1), activation="gelu", input_size=32):
-    return build_spec(dataclasses.replace(TINY, depths=depths,
-                                          activation=activation), input_size)
+    return build_spec("tiny", 32, depths, activation, input_size)
 
 
 def block_forward(x, store, prefix, b, act, rpe_hw):
@@ -48,18 +46,23 @@ def block_forward(x, store, prefix, b, act, rpe_hw):
     return model_mod._run(ops, x)
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in patnet.__all__ if not hasattr(patnet, name)]
+    assert missing == []
+
+
 class TestBuildVariant:
     def test_t0_row(self):
         spec = build_variant("T0")
         assert spec.stage_channels == (32, 64, 128, 256)
-        assert spec.config.depths == (1, 2, 6, 4)
-        assert spec.config.activation == "gelu"
+        assert tuple(map(len, spec.stages)) == (1, 2, 6, 4)
+        assert spec.activation == "gelu"
 
     def test_l_row(self):
         spec = build_variant("L")
         assert spec.stage_channels == (160, 320, 640, 1280)
-        assert spec.config.depths == (2, 3, 20, 4)
-        assert spec.config.activation == "relu"
+        assert tuple(map(len, spec.stages)) == (2, 3, 20, 4)
+        assert spec.activation == "relu"
 
     def test_last_stage_uses_attention_blocks(self):
         spec = build_variant("T2")
@@ -69,10 +72,22 @@ class TestBuildVariant:
         assert all(not b.double_residual for st in spec.stages[:3] for b in st)
 
     def test_t2_vs_s_differ_only_in_width_and_depth(self):
-        t2, s = build_variant("T2").config, build_variant("S").config
-        diffs = {f.name for f in dataclasses.fields(t2)
-                 if getattr(t2, f.name) != getattr(s, f.name)}
-        assert diffs == {"name", "base_channels", "depths"}
+        rows = VARIANT_TABLE["T2"], VARIANT_TABLE["S"]
+        assert [a != b for a, b in zip(*rows)] == [True, True, False]
+        t2, s = build_variant("T2"), build_variant("S")
+        assert (t2.input_hw, t2.activation) == (s.input_hw, s.activation)
+
+        def per_channel(b):  # the block with every width divided by its own
+            return (b.mixer, b.mixer_cp / b.channels, b.sp_cp / b.channels,
+                    b.mlp_hidden / b.channels, (b.heads or 0) * HEAD_DIM / b.channels,
+                    b.double_residual)
+
+        assert ([{per_channel(b) for b in st} for st in t2.stages]
+                == [{per_channel(b) for b in st} for st in s.stages])
+
+    def test_spec_is_label_extent_blocks_and_activation(self):
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == [
+            "label", "input_hw", "stages", "activation"]
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError, match="T0.*T1.*T2.*S.*M.*L"):
@@ -228,7 +243,7 @@ class TestAblations:
     def test_depths_2284_changes_only_last_two_stages(self):
         base = build_variant("T2")
         spec = build_ablation(base, "depths_2284")
-        assert spec.config.depths == (2, 2, 8, 2)
+        assert tuple(map(len, spec.stages)) == (2, 2, 8, 2)
         assert spec.stage_channels == base.stage_channels
         assert [len(s) for s in spec.stages] == [2, 2, 8, 2]
 
@@ -240,7 +255,6 @@ class TestAblations:
             after = build_ablation(build_ablation(base, mode), "depths_2284")
             before = build_ablation(deep, mode)
             assert after.stages == before.stages, mode
-            assert after.config == before.config == deep.config, mode
 
     def test_conv_dw_keeps_a_full_gate_split(self):
         spec = build_ablation(build_ablation(build_variant("T2"), "full_sp"), "conv_dw")
@@ -249,6 +263,15 @@ class TestAblations:
     def test_empty_stage_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             tiny_spec(depths=(1, 1, 0, 1))
+
+    def test_base_width_not_divisible_by_4_rejected(self):
+        with pytest.raises(ValueError, match="channels 30 not divisible by 4"):
+            build_spec("base30", 30, (1, 1, 1, 1), "gelu")
+
+    def test_attention_width_not_a_multiple_of_head_dim_rejected(self):
+        # base 40: stage 4 has 320 channels, of which 240 are untouched
+        with pytest.raises(ValueError, match="untouched width 240 not divisible by head_dim 32"):
+            build_spec("base40", 40, (1, 1, 1, 1), "gelu")
 
     def test_conv_dw_widens_early_stages_only(self):
         spec = build_ablation(build_variant("T2"), "conv_dw")
@@ -269,7 +292,7 @@ class TestAblations:
         names = {d.name for d in iter_param_schema(spec)}
         assert not any(".se." in n or ".patsp." in n or ".patsf.w" in n
                        for n in names)
-        assert spec.config.depths == (2, 2, 6, 4)
+        assert tuple(map(len, spec.stages)) == (2, 2, 6, 4)
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_every_mode_still_runs_forward(self, rng, mode):
@@ -328,7 +351,7 @@ class TestPlan:
                         assert y.shape == ref.shape and y.tobytes() == ref.tobytes(), (
                             mode, op.name, n)
                     checked += 1
-            assert checked == sum(spec.config.depths[:3]), mode
+            assert checked == sum(map(len, spec.stages[:3])), mode
 
     def test_built_once_per_store(self, rng, monkeypatch):
         spec = tiny_spec()

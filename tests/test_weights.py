@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import tracemalloc
@@ -310,11 +309,9 @@ class TestStreamedLoad:
     @pytest.mark.parametrize("fused", [False, True])
     def test_file_load_matches_blob_parse(self, variant, fused, tmp_path):
         # every name of the variant, in schema order, at its rank; narrowed
-        # to 16 base channels and a small head so that L (416 MB of weights)
-        # stays small
-        config = dataclasses.replace(build_variant(variant).config, base_channels=16,
-                                     classifier_hidden=8, num_classes=10)
-        spec = build_spec(config)
+        # to 16 base channels so that L (416 MB of weights) stays small
+        _, depths, act = VARIANT_TABLE[variant]
+        spec = build_spec(variant, 16, depths, act)
         rng = np.random.default_rng(len(variant))
         store = ParamStore(tensors={
             d.name: rng.standard_normal(d.shape).astype(np.float32)
