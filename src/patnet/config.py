@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .tensor_ops import ShapeError
+from .tensor_ops import ACTIVATION_KINDS, ShapeError
 
 HEAD_DIM = 32
 # every variant splits c_p = c // PARTIAL_DIVISOR channels off for its
@@ -107,6 +107,11 @@ def build_spec(label: str, base_channels: int, depths: tuple[int, ...],
     """Assemble the block list of a four-stage model whose width starts at
     ``base_channels`` and doubles at every merge, at a square input size."""
     check_extent(input_size, input_size)
+    if len(depths) != 4:
+        raise ValueError(f"stage depths {depths} must name 4 stages")
+    if activation not in ACTIVATION_KINDS:
+        raise ValueError(
+            f"unknown activation {activation!r}; expected one of {ACTIVATION_KINDS}")
     if min(depths) < 1:
         raise ValueError(f"stage depths {depths} must each be at least 1")
     stages = tuple((_make_block(base_channels << si, si == 3),) * depth

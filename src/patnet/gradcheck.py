@@ -133,7 +133,7 @@ def _as_params(kind: str, params: dict[str, np.ndarray], split: PartialSplit,
 
 def block_apply(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
                 split: PartialSplit, rpe_hw=None, heads: int | None = None):
-    return _KINDS[kind][0](x, _as_params(kind, params, split, rpe_hw, heads), split)
+    return _kind(kind)[0](x, _as_params(kind, params, split, rpe_hw, heads), split)
 
 
 # Each _<kind>_vjp returns (input grad, parameter grads, kink distance): the
@@ -265,18 +265,24 @@ _KINDS = {
 BLOCK_KINDS = tuple(_KINDS)
 
 
+def _kind(kind: str) -> tuple:
+    """The ``_KINDS`` entry of ``kind``."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown block kind {kind!r}")
+    return _KINDS[kind]
+
+
 def block_vjp(kind: str, params: dict[str, np.ndarray], x: np.ndarray,
               split: PartialSplit, upstream: np.ndarray,
               rpe_hw=None, heads: int | None = None):
     """Exact gradients of <upstream, block(x)> wrt the input and every
     parameter tensor. The hard-sigmoid uses subgradient 1/6 strictly inside
     (-3, 3) and 0 outside."""
-    if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
+    vjp = _kind(kind)[1]
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input {x.shape}")
     p = _as_params(kind, params, split, rpe_hw, heads)
-    gx, grads, _ = _KINDS[kind][1](p, x, split, upstream)
+    gx, grads, _ = vjp(p, x, split, upstream)
     for name, t in params.items():  # a tensor the block leaves unused
         grads.setdefault(name, np.zeros_like(t))
     return gx, grads
@@ -308,7 +314,7 @@ def _draw(kind: str, rng, split: PartialSplit, rpe_hw, heads):
 def make_probe(kind: str, seed: int, sizes: dict | None = None):
     """Seeded probe (x, split, params, upstream); resamples anything that
     lands within the kink margin of relu or hard-sigmoid."""
-    _, vjp, defaults = _KINDS[kind]
+    _, vjp, defaults = _kind(kind)
     sizes = dict(defaults, **(sizes or {}))
     hw = sizes["hw"]
     split = PartialSplit(sizes["channels"], sizes["c_p"])

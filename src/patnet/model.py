@@ -106,10 +106,13 @@ def _conv_macs(conv: ConvParams | None, hw: int) -> int:
 # plan ops
 # ---------------------------------------------------------------------------
 #
-# Every op is called as op(x, skip) and returns its output. Ops reach kernels
-# and blocks through their modules (T.conv2d, B.pat_ch_forward) at call time,
-# never through references taken while building: the per-layer tracer times
-# a forward by rebinding those module attributes.
+# Every op is called as op(held, skip) and returns its output. ``held`` is a
+# one-slot list holding the op's input, which the op pops, so once the op is
+# done with its input no reference to it is left (a caller's argument would
+# stay alive for the whole call). Ops reach kernels and blocks through their
+# modules (T.conv2d, B.pat_ch_forward) at call time, never through references
+# taken while building: the per-layer tracer times a forward by rebinding
+# those module attributes.
 
 class _Op:
     # True when this op's output is the shortcut that the next Residual adds
@@ -127,8 +130,8 @@ class Stem(_Op):
     bn: BnParams | None
     saves = True
 
-    def __call__(self, x, skip):
-        x = T.conv2d(x, self.conv)
+    def __call__(self, held, skip):
+        x = T.conv2d(held.pop(), self.conv)
         return x if self.bn is None else T.batch_norm_infer(x, self.bn, x)
 
 
@@ -143,8 +146,8 @@ class Mixer(_Op):
     params: PatChParams | PatSfParams | ConvParams
     split: PartialSplit
 
-    def __call__(self, x, skip):
-        return getattr(B, self.forward)(x, self.params, self.split)
+    def __call__(self, held, skip):
+        return getattr(B, self.forward)(held.pop(), self.params, self.split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +158,10 @@ class Mlp(_Op):
     standalone map conv; when the gate is present but ``gate_map`` is None,
     the map is merged into ``conv2``, whose last output channel is the gate
     logit. ``bn`` is None once folded into ``conv1``. BN and the activation
-    overwrite the output of ``conv1``, and no name holds that hidden tensor
-    once ``conv2`` has run, so it is freed before the gate allocates.
+    overwrite the output of ``conv1``. The input is popped straight into
+    ``conv1``, so it is freed before ``conv2`` allocates, and no name holds
+    the hidden tensor once ``conv2`` has run, so it is freed before the gate
+    allocates.
     """
 
     name: str
@@ -168,8 +173,8 @@ class Mlp(_Op):
     gate: PartialSplit | None
     gate_map: PatSpParams | None
 
-    def __call__(self, x, skip):
-        m = T.conv2d(self._hidden(x), self.conv2)
+    def __call__(self, held, skip):
+        m = T.conv2d(self._hidden(held), self.conv2)
         if self.gate is None:
             return m
         if self.gate_map is not None:
@@ -177,10 +182,10 @@ class Mlp(_Op):
         c = self.gate.c_total
         return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate)
 
-    def _hidden(self, x):
+    def _hidden(self, held):
         # ``out`` goes by position, so a wrapper that passes on only
         # positional arguments still sees every call
-        h = T.conv2d(x, self.conv1)
+        h = T.conv2d(held.pop(), self.conv1)
         if self.bn is not None:
             T.batch_norm_infer(h, self.bn, h)
         return T.activation(h, self.act, h)
@@ -197,7 +202,8 @@ class Residual(_Op):
     macs: int = 0
     saves = True
 
-    def __call__(self, x, skip):
+    def __call__(self, held, skip):
+        x = held.pop()
         T._over_batch(lambda lo, hi: np.add(skip[lo:hi], x[lo:hi], out=x[lo:hi]), len(x))
         return x
 
@@ -216,8 +222,8 @@ class Head(_Op):
     fc_b: np.ndarray
     act: str
 
-    def __call__(self, x, skip):
-        pooled = T.global_avg_pool(x)[:, None]  # (n, 1, c4)
+    def __call__(self, held, skip):
+        pooled = T.global_avg_pool(held.pop())[:, None]  # (n, 1, c4)
         hidden = T.activation(T.matmul(pooled, self.conv_w.T) + self.conv_b, self.act)
         return (T.matmul(hidden, self.fc_w.T) + self.fc_b)[:, 0]
 
@@ -236,13 +242,15 @@ class Plan:
 
 
 def _run(ops, x: np.ndarray) -> np.ndarray:
-    # a Residual adds the output of the last op that saves, or ``x``
-    skip = x
+    """Run ``ops`` on ``x``. Besides ``x`` the runner names only ``skip``,
+    the output of the last op that saves (or ``x``), which the next
+    Residual adds; ``held`` holds the next op's input until it pops it."""
+    held, skip = [x], x
     for op in ops:
-        x = op(x, skip)
+        held.append(op(held, skip))
         if op.saves:
-            skip = x
-    return x
+            skip = held[0]
+    return held.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +474,9 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     The first call for ``store`` (or for another ``spec``) builds its plan
     and keeps it on ``store.plan``; later calls only run it. The first plan
     built in the process also sets its heap policy (``_keep_freed_heap``).
-    A batch of two or more runs with its kernels split across the engine's
+    Each op pops its input from the runner (``_run``), so an activation is
+    freed once the op that consumes it is done with it, unless it is the
+    shortcut of a later residual add. A batch of two or more runs with its kernels split across the engine's
     threads (``tensor_ops._split_batches``); the logits are bitwise those
     of a serial forward. Each image's row is bitwise its batch-1 logits
     where numpy runs a stacked ``(n, 1, k) @ (k, m)`` matmul one image at a

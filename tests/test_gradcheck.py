@@ -77,6 +77,10 @@ class TestBlockVjp:
             block_vjp("pat_xx", {}, np.zeros((1, 4, 2, 2)), PartialSplit(4, 1),
                       np.zeros((1, 4, 2, 2)))
 
+    def test_gradcheck_of_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown block kind 'bogus'"):
+            gradcheck_block("bogus")
+
 
 class TestSoftmaxVjp:
     def test_annihilates_constants(self, rng):

@@ -3,6 +3,7 @@ import inspect
 import platform
 import resource
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,15 @@ class TestAblations:
         with pytest.raises(ValueError, match="at least 1"):
             tiny_spec(depths=(1, 1, 0, 1))
 
+    @pytest.mark.parametrize("depths", [(1, 1, 1), (1, 1, 1, 1, 1)])
+    def test_depths_must_name_four_stages(self, depths):
+        with pytest.raises(ValueError, match="must name 4 stages"):
+            tiny_spec(depths=depths)
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'swish'"):
+            build_spec("x", 32, (1, 1, 1, 1), "swish")
+
     def test_base_width_not_divisible_by_4_rejected(self):
         with pytest.raises(ValueError, match="channels 30 not divisible by 4"):
             build_spec("base30", 30, (1, 1, 1, 1), "gelu")
@@ -347,7 +357,7 @@ class TestPlan:
                         continue
                     for n in (1, 3):
                         x = rand_t4(rng, n, b.channels, hw, hw)
-                        y, ref = op(x, None), tensor_ops.conv2d(x, op.params)
+                        y, ref = op([x], None), tensor_ops.conv2d(x, op.params)
                         assert y.shape == ref.shape and y.tobytes() == ref.tobytes(), (
                             mode, op.name, n)
                     checked += 1
@@ -446,6 +456,34 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 19 << 20
+
+    def test_mlp_input_is_freed_before_its_second_conv(self, monkeypatch):
+        # the runner holds no reference to the mixer output once the MLP has
+        # popped it, so conv1 is its last user
+        spec = build_variant("T2", input_size=64)
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((2, 3, 64, 64), dtype=np.float32)
+        model_forward(spec, store, x)  # build the plan
+        ops = {op.name: op for op in store.plan.ops}
+        mixer, conv2 = ops["stage1.block0.mixer"], ops["stage1.block0.mlp"].conv2
+        mixer_out, dead = [], []
+        real_forward, real_conv = getattr(blocks, mixer.forward), tensor_ops.conv2d
+
+        def forward(x, params, split):
+            y = real_forward(x, params, split)
+            if params is mixer.params:
+                mixer_out.append(weakref.ref(y))
+            return y
+
+        def conv2d(x, p):
+            if p is conv2:
+                dead.append(mixer_out[0]() is None)
+            return real_conv(x, p)
+
+        monkeypatch.setattr(blocks, mixer.forward, forward)
+        monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
+        model_forward(spec, store, x)
+        assert len(mixer_out) == 1 and dead == [True]
 
 
 def perturbed(store: ParamStore, seed: int) -> ParamStore:
