@@ -1,9 +1,11 @@
 """PPM (binary P6) loading and classification preprocessing.
 
-The eval-time pipeline: scale pixels to [0, 1], bilinear-resize the shorter
-side to round(crop / 0.9), center-crop, then standardize with the usual
-ImageNet channel statistics. Resizing samples at half-pixel centers so the
-result is reproducible bit for bit.
+The eval-time pipeline: bilinear-resize the shorter side to
+round(crop / 0.9), scaling uint8 pixels to [0, 1] as their rows are read,
+center-crop, then standardize with the usual ImageNet channel statistics.
+``load_ppm`` returns the file's uint8 pixels, so no whole-image float copy
+is made. Resizing samples at half-pixel centers so the result is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ def _read_token(blob: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def load_ppm(path) -> np.ndarray:
-    """Binary P6 file with maxval 255 -> float32 (1, 3, h, w) in [0, 1]."""
+    """Binary P6 file with maxval 255 -> uint8 (1, 3, h, w) pixels.
+
+    The result is a read-only view of the file's bytes with channel-last
+    strides: decoding makes no per-pixel copy, cast or divide.
+    ``bilinear_resize`` scales the rows it reads to [0, 1].
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, pos = _read_token(blob, 0)
@@ -69,14 +76,17 @@ def load_ppm(path) -> np.ndarray:
     if len(raw) != width * height * 3:
         raise ImageFormatError("pixel payload truncated")
     img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    chw = img.transpose(2, 0, 1).astype(np.float32)
-    chw /= np.float32(255.0)
-    return chw[None]
+    return img.transpose(2, 0, 1)[None]
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
                     crop: int | None = None) -> np.ndarray:
     """Half-pixel-center bilinear resampling of an (n, c, h, w) tensor.
+
+    A float tensor is resampled in its own precision (float32 at least). A
+    uint8 tensor is read as pixels in [0, 1]: each gathered source row set
+    is cast to float32 and divided by 255, so the result is bitwise that of
+    resampling ``x.astype(np.float32) / np.float32(255)``, and is float32.
 
     With ``crop``, only the centered crop x crop window of the out_h x out_w
     result is computed and returned, bitwise equal to
@@ -118,6 +128,7 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
     xs = slice(x0[0], x1[-1] + 1)
     x0, x1 = x0 - xs.start, x1 - xs.start
     gx, gy, fy = 1 - fx, (1 - fy)[:, None], fy[:, None]
+    pixels = x.dtype == np.uint8
     dt = np.result_type(x.dtype, fx.dtype)
     out = np.empty((n, c, len(y0), len(x0)), dt)
     bot, tmp = np.empty(out.shape[2:], dt), np.empty(out.shape[2:], dt)
@@ -127,6 +138,8 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
             plane = x[i, j, :, xs]
             for y, acc in ((y0, top), (y1, bot)):
                 part = plane[y].astype(dt, copy=False)
+                if pixels:
+                    part /= np.float32(255)
                 # every index is in range; a non-raising mode writes out= unbuffered
                 np.take(part, x0, 1, acc, "wrap")
                 acc *= gx
@@ -137,7 +150,7 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int,
             top *= gy
             bot *= fy
             top += bot
-    return out.astype(x.dtype, copy=False)
+    return out if pixels else out.astype(x.dtype, copy=False)
 
 
 def center_crop(x: np.ndarray, size: int) -> np.ndarray:
@@ -150,7 +163,11 @@ def center_crop(x: np.ndarray, size: int) -> np.ndarray:
 
 
 def preprocess(img: np.ndarray, crop: int = 224) -> np.ndarray:
-    """Resize-shorter-side / center-crop / normalize; returns (1, 3, crop, crop)."""
+    """Resize-shorter-side / center-crop / normalize; returns (1, 3, crop, crop).
+
+    ``img`` is uint8 pixels, as ``load_ppm`` returns them, or floats in
+    [0, 1]; ``bilinear_resize`` scales pixels to [0, 1] as it reads them.
+    """
     h, w = img.shape[2:]
     short = round(crop / TEST_CROP_RATIO)
     if h <= w:
@@ -164,8 +181,11 @@ def preprocess(img: np.ndarray, crop: int = 224) -> np.ndarray:
 
 
 def save_ppm(path, img: np.ndarray) -> None:
-    """Write a (1, 3, h, w) float tensor in [0, 1] as binary P6."""
-    arr = np.clip(img[0] * 255.0 + 0.5, 0, 255).astype(np.uint8)
+    """Write a (1, 3, h, w) image as binary P6: uint8 pixels, as ``load_ppm``
+    returns them, as they are, and floats in [0, 1] rounded to pixels."""
+    arr = img[0]
+    if arr.dtype != np.uint8:
+        arr = np.clip(arr * 255.0 + 0.5, 0, 255).astype(np.uint8)
     h, w = arr.shape[1:]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())

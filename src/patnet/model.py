@@ -241,11 +241,13 @@ class Plan:
         return sum(op.macs for op in self.ops)
 
 
-def _run(ops, x: np.ndarray) -> np.ndarray:
-    """Run ``ops`` on ``x``. Besides ``x`` the runner names only ``skip``,
-    the output of the last op that saves (or ``x``), which the next
-    Residual adds; ``held`` holds the next op's input until it pops it."""
-    held, skip = [x], x
+def _run(ops, held: list) -> np.ndarray:
+    """Run ``ops`` on the input in the one-slot list ``held``, which holds
+    the next op's input until it pops it. Besides ``held`` the runner names
+    only ``skip``, the output of the last op that saves (or the input), which
+    the next Residual adds, so nothing names the input once an op that saves
+    has consumed it."""
+    skip = held[0]
     for op in ops:
         held.append(op(held, skip))
         if op.saves:
@@ -499,4 +501,4 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
         _keep_freed_heap()
         plan = store.plan = build_plan(spec, store)
     with T._split_batches(n):
-        return _run(plan.ops, np.ascontiguousarray(x, dtype=np.float32))
+        return _run(plan.ops, [np.ascontiguousarray(x, dtype=np.float32)])

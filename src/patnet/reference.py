@@ -125,8 +125,15 @@ def bilinear_resize_naive(x: np.ndarray, out_h: int, out_w: int,
     one output element at a time in float32 scalars. Source coordinates are
     computed in float64 and each fraction rounded to float32 once; the blend
     is ``((a00 gx + a01 fx) gy) + ((a10 gx + a11 fx) fy)`` in that order.
-    With ``crop``, only the centered crop x crop window is returned."""
+    A uint8 tensor is read as pixels: each source value ``a`` is
+    ``float32(a) / float32(255)``. With ``crop``, only the centered
+    crop x crop window is returned."""
     n, c, h, w = x.shape
+    scale = np.float32(255) if x.dtype == np.uint8 else None
+
+    def at(p, y, x_):
+        return p[y, x_] if scale is None else np.float32(p[y, x_]) / scale
+
     top, left, oh, ow = 0, 0, out_h, out_w
     if crop is not None:
         top, left, oh, ow = (out_h - crop) // 2, (out_w - crop) // 2, crop, crop
@@ -145,7 +152,7 @@ def bilinear_resize_naive(x: np.ndarray, out_h: int, out_w: int,
             for ni in range(n):
                 for ci in range(c):
                     p = x[ni, ci]
-                    a = (p[y0, x0] * gx + p[y0, x1] * fx) * gy
-                    b = (p[y1, x0] * gx + p[y1, x1] * fx) * fy
+                    a = (at(p, y0, x0) * gx + at(p, y0, x1) * fx) * gy
+                    b = (at(p, y1, x0) * gx + at(p, y1, x1) * fx) * fy
                     out[ni, ci, oy, ox] = a + b
     return out

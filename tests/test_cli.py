@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import patnet
 from patnet.cli import cli_dispatch
-from patnet.imageio import save_ppm
-from patnet.model import ParamStore
+from patnet.config import build_variant
+from patnet.imageio import load_ppm, preprocess, save_ppm
+from patnet.model import ParamStore, model_forward
 from patnet.weights import load_weights, save_weights
 
 
@@ -44,7 +46,6 @@ class TestSummary:
         assert "256x256" in capsys.readouterr().out
 
     def test_numbers_equal_the_counters_exactly(self, capsys):
-        from patnet.config import build_variant
         from patnet.counting import count_flops, count_params
         assert cli_dispatch(["summary", "--variant", "T1"]) == 0
         out = capsys.readouterr().out
@@ -56,8 +57,7 @@ class TestSummary:
         assert flops == count_flops(spec)
 
     def test_all_prints_every_variant_and_t2_arm(self, capsys):
-        from patnet.config import (ABLATION_MODES, VARIANT_TABLE, build_ablation,
-                                   build_variant)
+        from patnet.config import ABLATION_MODES, VARIANT_TABLE, build_ablation
         from patnet.counting import count_flops, count_params
         assert cli_dispatch(["summary", "--variant", "all", "--input-size", "64"]) == 0
         out = capsys.readouterr().out
@@ -173,6 +173,39 @@ class TestInfer:
                       "--image", str(sample_image), "--topk", "1"])
         fused_top = capsys.readouterr().out.splitlines()[1]
         assert plain_top.split()[1] == fused_top.split()[1]
+
+    def test_photo_sized_image_matches_the_float_pipeline(self, t0_weights, tmp_path,
+                                                          capsys):
+        # a 1600x1200 photo is decoded as its uint8 pixels: the top-5 is that
+        # of the whole image cast to float and divided by 255 first, and
+        # decoding plus preprocessing stay near the file's own size (the
+        # float image alone would be 22 MiB)
+        width, height = 1600, 1200
+        pixels = np.random.default_rng(7).integers(0, 256, (height, width, 3), np.uint8)
+        path = tmp_path / "photo.ppm"
+        path.write_bytes(f"P6\n{width} {height}\n255\n".encode() + pixels.tobytes())
+        assert cli_dispatch(["infer", "--weights", str(t0_weights),
+                             "--image", str(path), "--topk", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        store, variant = load_weights(t0_weights)
+        spec = build_variant(variant)
+        img = pixels.transpose(2, 0, 1)[None].astype(np.float32) / np.float32(255)
+        logits = model_forward(spec, store, preprocess(img))[0]
+        top = np.argsort(-logits)[:5]
+        assert printed[1:] == [f"{rank:2d}. class_{idx}  logit={logits[idx]:.4f}"
+                               for rank, idx in enumerate(top, start=1)]
+
+        tracemalloc.start()
+        try:
+            preprocess(load_ppm(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes, then the output and its two scratch planes
+        # (0.96 MiB) beside one source row set, 224 rows of 1080 columns,
+        # cast to float32 (0.92 MiB) from its uint8 gather (0.23 MiB)
+        assert peak < path.stat().st_size + 2.25 * 2**20
 
     def test_t1_weights(self, sample_image, tmp_path, capsys):
         path = tmp_path / "t1.patw"

@@ -36,21 +36,24 @@ class TestLoadPpm:
         p = tmp_path / "a.ppm"
         write_ppm(p, [[(255, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 0, 0)]])
         img = load_ppm(p)
-        assert img.shape == (1, 3, 2, 2)
-        assert img[0, 0, 0, 0] == 1.0
-        assert img[0, 1, 0, 0] == 0.0
+        assert img.shape == (1, 3, 2, 2) and img.dtype == np.uint8
+        assert not img.flags.writeable
+        assert img[0, 0, 0, 0] == 255
+        assert img[0, 1, 0, 0] == 0
 
     def test_uniform_gray(self, tmp_path):
         p = tmp_path / "g.ppm"
         write_ppm(p, [[(128, 128, 128)] * 3] * 2)
         img = load_ppm(p)
-        assert np.allclose(img, 128 / 255)
+        assert img.dtype == np.uint8 and not img.flags.writeable
+        assert np.array_equal(img, np.full((1, 3, 2, 3), 128, np.uint8))
 
     def test_header_comment_tolerated(self, tmp_path):
         p = tmp_path / "c.ppm"
         write_ppm(p, [[(10, 20, 30)]], comment=True)
         img = load_ppm(p)
-        assert img[0, 2, 0, 0] == pytest.approx(30 / 255)
+        assert img.dtype == np.uint8 and not img.flags.writeable
+        assert img[0, :, 0, 0].tolist() == [10, 20, 30]
 
     def test_rejects_p5(self, tmp_path):
         p = tmp_path / "b.pgm"
@@ -105,7 +108,15 @@ class TestLoadPpm:
         img = (rng.integers(0, 256, (1, 3, 5, 7)) / 255.0).astype(np.float32)
         p = tmp_path / "r.ppm"
         save_ppm(p, img)
-        assert np.allclose(load_ppm(p), img, atol=1e-7)
+        loaded = load_ppm(p)
+        assert loaded.dtype == np.uint8 and not loaded.flags.writeable
+        assert np.array_equal(loaded, np.clip(img * 255 + 0.5, 0, 255).astype(np.uint8))
+
+    def test_load_save_round_trip(self, tmp_path, rng):
+        p, q = tmp_path / "p.ppm", tmp_path / "q.ppm"
+        p.write_bytes(ppm_bytes(7, 5, rng.integers(0, 256, 105, np.uint8).tobytes()))
+        save_ppm(q, load_ppm(p))
+        assert q.read_bytes() == p.read_bytes()
 
 
 class TestResize:
@@ -126,7 +137,7 @@ class TestResize:
                          + x[0, ci, y1, x1] * fy * fx)
                     assert out[0, ci, oy, ox] == pytest.approx(v, abs=1e-6)
 
-    @pytest.mark.parametrize("layout", ["contiguous", "hwc"])
+    @pytest.mark.parametrize("layout", ["contiguous", "hwc", "uint8", "uint8_hwc"])
     @pytest.mark.parametrize("n,c,hw,out_hw,crop", [
         (1, 3, (5, 7), (11, 13), None),  # upscale
         (2, 4, (17, 13), (6, 5), None),  # downscale
@@ -138,12 +149,15 @@ class TestResize:
         (1, 4, (3, 30), (20, 6), 5),  # the same with a crop
     ])
     def test_bitwise_equal_to_loop_oracle(self, rng, layout, n, c, hw, out_hw, crop):
-        x = rng.standard_normal((n, c, *hw)).astype(np.float32)
-        if layout == "hwc":  # the strides of an image decoded channel-last
+        if layout.startswith("uint8"):  # pixels; uint8_hwc is what load_ppm returns
+            x = rng.integers(0, 256, (n, c, *hw), dtype=np.uint8)
+        else:
+            x = rng.standard_normal((n, c, *hw)).astype(np.float32)
+        if layout.endswith("hwc"):  # the strides of an image decoded channel-last
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         out = bilinear_resize(x, *out_hw, crop)
         expected = bilinear_resize_naive(x, *out_hw, crop)
-        assert out.flags.c_contiguous
+        assert out.flags.c_contiguous and out.dtype == np.float32
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_identity_when_same_size(self, rng):
@@ -166,6 +180,14 @@ class TestPreprocess:
         expected = (cropped - IMAGENET_MEAN[None, :, None, None]) \
             / IMAGENET_STD[None, :, None, None]
         assert np.abs(out - expected).max() <= 1e-6
+
+    @pytest.mark.parametrize("hw", [(300, 500), (500, 300), (224, 224), (1, 40)])
+    def test_pixels_preprocess_as_their_float_image(self, rng, hw):
+        # the former pipeline: the whole image cast and divided by 255 first
+        u8 = rng.integers(0, 256, (1, 3, *hw), dtype=np.uint8)
+        out = preprocess(u8)
+        expected = preprocess(u8.astype(np.float32) / np.float32(255))
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
 
     def test_portrait_orientation(self, rng):
         img = rng.uniform(0, 1, (1, 3, 500, 300)).astype(np.float32)
@@ -205,10 +227,11 @@ class TestPreprocess:
         assert out.shape == (1, 3, 224, 224) and np.all(np.isfinite(out))
         assert peak < 16 << 20  # the full 1x32 resize alone peaked at 95 MB
 
-    # tracemalloc peaks of preprocess(load_ppm(p)) for these files when the
-    # resize gathered rows and columns in one 2-D step: 10.56 MiB. Now the
-    # 8.2 MiB float image beside the file's 2.1 MiB of bytes sets the peak,
-    # at 10.27 MiB.
+    # tracemalloc peaks of preprocess(load_ppm(p)) for these files: 10.56 MiB
+    # when the resize gathered rows and columns in one 2-D step, 10.27 MiB
+    # when load_ppm decoded to an 8.2 MiB float image beside the file's
+    # 2.1 MiB of bytes. Now the pixels are a view of those bytes, and the
+    # resize adds 1.67 MiB to them: 3.73 MiB.
     @pytest.mark.parametrize("width,height,bound", [(731, 982, 11_071_398),
                                                     (982, 731, 11_069_352)])
     def test_memory_peak_of_a_photo_sized_image(self, tmp_path, width, height, bound):
@@ -228,7 +251,8 @@ class TestPreprocess:
         assert max(load_peak, loaded + added) <= bound
         # the output (0.57 MiB), two scratch planes of the output's size
         # (0.38 MiB) and one gathered set of 224 source rows of about 660
-        # pixels (0.57 MiB): a second row set alive would add 0.57 MiB
+        # pixels (0.57 MiB as float32, beside 0.14 MiB as uint8): a second
+        # row set alive would add 0.57 MiB
         assert added < 1.75 * 2**20
 
     def test_crop_window_is_centered(self):
