@@ -18,7 +18,11 @@ oracles live in ``patnet.reference``.
 
 GELU is the erf form, not the tanh approximation, with erfc from the
 Abramowitz & Stegun 7.1.26 fit (absolute error of erfc at most 1.5e-7); in
-float32 it is within 1e-6 of the exact function.
+float32 it is within 1e-6 of the exact function. It walks its input in
+consecutive blocks of ``_GELU_BLOCK`` elements through two block-sized
+scratch buffers, so its scratch stays at 512 KiB in float32 however large the
+activation is, and every element goes through the same ufuncs as in one pass
+over the whole tensor.
 
 Inside a batched forward (``model_forward`` arms it through
 ``_split_batches``), the convolutions, ReLU, GELU, batch norm and channel
@@ -292,6 +296,9 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _AS_P = 0.3275911 / np.sqrt(2.0)
 _AS_HALF_COEFFS = tuple(0.5 * a for a in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
+# GELU's block: 256 KiB per float32 scratch buffer, so the two of them and
+# the block of x they are computed from stay in a 2 MiB L2
+_GELU_BLOCK = 1 << 16
 
 
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -300,9 +307,10 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Evaluated as max(x, 0) - 0.5 * |x| * erfc(|x| / sqrt 2), which equals
     0.5 * x * (1 + erf(x / sqrt 2)) for either sign of x and never subtracts
     two nearly equal numbers. erfc is the A&S 7.1.26 fit, computed with
-    in-place ufuncs over three scratch buffers, into ``out`` (which may be
-    ``x``) or a new array. In float32 the result is within 1e-6 of the exact
-    function, and gelu(0) == 0 exactly.
+    in-place ufuncs over blocks of ``_GELU_BLOCK`` elements and two scratch
+    buffers of one block each, into ``out`` (which may be ``x``) or a new
+    array. In float32 the result is within 1e-6 of the exact function, and
+    gelu(0) == 0 exactly.
     """
     out = _output_like(x, out)
     _over_batch(lambda lo, hi: _gelu_into(x[lo:hi], out[lo:hi]), len(x))
@@ -310,14 +318,28 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
-    # |x| lives in scratch, not in ``out``: ``x`` is read until the last
-    # step, and ``out`` may be ``x``
+    # the iterator hands out matching blocks of x and out in memory order,
+    # buffering only layouts it cannot walk in place; the scratch is
+    # allocated per call, because pool threads run this at the same time
+    with np.nditer([x, out], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"], ["writeonly"]], order="K",
+                   buffersize=_GELU_BLOCK) as blocks:
+        t = np.empty(min(x.size, _GELU_BLOCK), x.dtype)
+        q = np.empty_like(t)
+        for xb, ob in blocks:
+            _gelu_block(xb, ob, t[:len(xb)], q[:len(xb)])
+
+
+def _gelu_block(x: np.ndarray, out: np.ndarray, t: np.ndarray, q: np.ndarray) -> None:
+    # ``x`` is read until the last step, and ``out`` may be ``x``. |x| is
+    # taken twice into ``t`` rather than kept in a third buffer: abs is
+    # exact, so both reads agree bit for bit
     dt = x.dtype.type
-    a = np.abs(x)
-    t = np.multiply(a, dt(_AS_P))
+    np.abs(x, out=t)
+    t *= dt(_AS_P)
     t += 1
     np.reciprocal(t, out=t)
-    q = np.multiply(t, dt(_AS_HALF_COEFFS[0]))
+    np.multiply(t, dt(_AS_HALF_COEFFS[0]), out=q)
     for c in _AS_HALF_COEFFS[1:]:
         q += dt(c)
         q *= t
@@ -326,7 +348,8 @@ def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
     t *= dt(-0.5)
     np.exp(t, out=t)
     q *= t
-    q *= a  # 0.5 * |x| * erfc(|x| / sqrt 2)
+    np.abs(x, out=t)
+    q *= t  # 0.5 * |x| * erfc(|x| / sqrt 2)
     np.maximum(x, 0, out=out)
     out -= q
 

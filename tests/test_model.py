@@ -444,7 +444,7 @@ class TestPlan:
         # BN and activations overwrite their conv's output, the hidden MLP
         # tensor is freed before the gate allocates, and the 3x3 tap scratch
         # exists per image: T2 fused at batch 8 and 160 x 160 peaks at
-        # 15.7 MB, against 22.0 MB when each of those kept a second buffer
+        # 12.62 MiB, against 22.0 MB when each of those kept a second buffer
         spec = build_variant("T2", input_size=160)
         store, _ = fuse_model(init_params(spec, seed=0), spec)
         x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
@@ -456,6 +456,27 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 19 << 20
+
+    def test_batched_gelu_forward_holds_its_activations_and_gelu_blocks(self):
+        # T0 fused at batch 8 and 160 x 160 peaks in a stage-1 MLP, at 40 x 40:
+        # the 32-channel shortcut, the 64-channel hidden tensor and the second
+        # conv's 32-channel output, 6.25 MiB in float32, are live together.
+        # GELU adds two scratch blocks per batch slice, and runs before the
+        # second conv allocates. Peaks on 2 CPUs: 14.07 MiB with three
+        # whole-tensor GELU buffers, 6.37 MiB with blocked GELU
+        spec = build_variant("T0", input_size=160)
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
+        model_forward(spec, store, x)  # build the plan outside the measurement
+        tracemalloc.start()
+        try:
+            model_forward(spec, store, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activation = 8 * 32 * 40 * 40 * 4
+        slices = min(len(x), tensor_ops._THREADS) if tensor_ops._split_ready() else 1
+        assert peak < 4 * activation + slices * 2 * 4 * tensor_ops._GELU_BLOCK
 
     def test_mlp_input_is_freed_before_its_second_conv(self, monkeypatch):
         # the runner holds no reference to the mixer output once the MLP has

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,77 @@ class TestInPlace:
             for fn in self.KERNELS.values():
                 with pytest.raises(ShapeError, match="does not match"):
                     fn(x, out)
+
+    B = tensor_ops._GELU_BLOCK
+    # each takes a C-contiguous (2, n) array and returns a copy of its values
+    # in a layout
+    LAYOUTS = {
+        "contiguous": lambda a: a.copy(),
+        "transposed": lambda a: a.T.copy().T,
+        "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+    }
+
+    @pytest.mark.parametrize("armed", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not tensor_ops._split_ready(), reason="the batch split cannot run here"))],
+        ids=["serial", "split"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    def test_gelu_blocks_keep_the_unblocked_bits(self, rng, n, layout, dtype, armed):
+        # serial runs walk 2n elements and split runs n per slice, so block
+        # boundaries fall inside rows, at their ends and past them
+        a = (rng.standard_normal((2, n)) * 4).astype(dtype)
+        special = [0.0, -0.0, 40.0, -40.0, 1e30]  # exp underflow and x^2 = inf
+        k = min(len(special), a.size)
+        a.reshape(-1)[:k] = special[:k]
+        view = self.LAYOUTS[layout]
+        expected = _gelu_unblocked(view(a))
+        y = view(a)
+        with tensor_ops._split_batches(2 if armed else 1):
+            assert (tensor_ops._split_thread is not None) == armed
+            got = gelu(view(a))
+            assert gelu(y, y) is y
+        assert got.dtype == dtype and got.strides == np.empty_like(view(a)).strides
+        assert got.tobytes() == expected.tobytes()
+        assert y.tobytes() == expected.tobytes()
+
+    def test_gelu_in_place_scratch_is_two_blocks(self):
+        # gelu(x, x) on 9.2 MiB of float32 allocates two scratch blocks of
+        # 4 * 2^16 bytes (512 KiB); 64 KiB is left for the iterator and small
+        # objects. Three whole-tensor scratch buffers would add 27.6 MiB
+        x = np.random.default_rng(0).standard_normal((8, 96, 56, 56), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            gelu(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * self.B + (64 << 10)
+
+
+def _gelu_unblocked(x):
+    """GELU's A&S steps in one pass over three whole-tensor buffers, the
+    unblocked evaluation the blocked kernel must match bit for bit."""
+    dt = x.dtype.type
+    a = np.abs(x)
+    t = np.multiply(a, dt(tensor_ops._AS_P))
+    t += 1
+    np.reciprocal(t, out=t)
+    q = np.multiply(t, dt(tensor_ops._AS_HALF_COEFFS[0]))
+    for c in tensor_ops._AS_HALF_COEFFS[1:]:
+        q += dt(c)
+        q *= t
+    with np.errstate(over="ignore"):
+        np.multiply(x, x, out=t)
+    t *= dt(-0.5)
+    np.exp(t, out=t)
+    q *= t
+    q *= a
+    out = np.maximum(x, 0)
+    out -= q
+    return out
 
 
 class TestPoolingAndStats:
