@@ -46,9 +46,9 @@ def fold_bn(conv: ConvParams, bn: BnParams) -> ConvParams:
         raise ShapeError(
             f"fold_bn: bn channels {bn.channels} != conv out_ch {conv.out_ch}")
     scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-    weight = (conv.weight * scale[:, None, None, None]).astype(np.float32)
+    weight = (conv.weight * scale[:, None, None, None]).astype(np.float32, copy=False)
     bias = conv.bias if conv.bias is not None else np.zeros(conv.out_ch, np.float32)
-    bias = ((bias - bn.running_mean) * scale + bn.beta).astype(np.float32)
+    bias = ((bias - bn.running_mean) * scale + bn.beta).astype(np.float32, copy=False)
     return ConvParams(weight, bias, conv.stride, conv.padding, conv.groups)
 
 
@@ -73,8 +73,8 @@ def merge_patsp(mlp_conv2: ConvParams, map_conv: ConvParams) -> ConvParams:
     mw = map_conv.weight.reshape(c)
     mb = map_conv.bias[0] if map_conv.bias is not None else np.float32(0.0)
 
-    weight = np.concatenate([w2, (mw @ w2)[None, :]], axis=0).astype(np.float32)
-    bias = np.concatenate([b2, [mw @ b2 + mb]]).astype(np.float32)
+    weight = np.concatenate([w2, (mw @ w2)[None, :]], axis=0).astype(np.float32, copy=False)
+    bias = np.concatenate([b2, [mw @ b2 + mb]]).astype(np.float32, copy=False)
     return ConvParams(weight.reshape(c + 1, mlp_conv2.in_ch, 1, 1), bias)
 
 

@@ -109,10 +109,11 @@ def _conv_macs(conv: ConvParams | None, hw: int) -> int:
 # Every op is called as op(held, skip) and returns its output. ``held`` is a
 # one-slot list holding the op's input, which the op pops, so once the op is
 # done with its input no reference to it is left (a caller's argument would
-# stay alive for the whole call). Ops reach kernels and blocks through their
-# modules (T.conv2d, B.pat_ch_forward) at call time, never through references
-# taken while building: the per-layer tracer times a forward by rebinding
-# those module attributes.
+# stay alive for the whole call). The popped input is the op's to overwrite,
+# unless it is ``skip`` or a view of it. Ops reach kernels and blocks through
+# their modules (T.conv2d, B.pat_ch_forward) at call time, never through
+# references taken while building: the per-layer tracer times a forward by
+# rebinding those module attributes.
 
 class _Op:
     # True when this op's output is the shortcut that the next Residual adds
@@ -150,6 +151,17 @@ class Mixer(_Op):
         return getattr(B, self.forward)(held.pop(), self.params, self.split)
 
 
+# An MLP whose hidden tensor for the whole batch would be larger than this
+# runs over image chunks, each writing its part of the output, so the widest
+# tensor of a batched forward is never held for every image. Under the batch
+# split each of two threads then works on at most 2 MiB of hidden tensor, one
+# core's L2 on the 2-vCPU Xeon this was sized on. A budget in bytes, not a
+# fixed chunk, keeps the small MLPs of the later stages in one piece: each
+# chunk costs a pool round trip per kernel, and 2-image chunks at every stage
+# saved no more memory and made T2 at batch 8 about 6% slower.
+_MLP_CHUNK_BYTES = 4 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class Mlp(_Op):
     """conv1 -> BN -> activation -> conv2, then the spatial gate.
@@ -158,10 +170,17 @@ class Mlp(_Op):
     standalone map conv; when the gate is present but ``gate_map`` is None,
     the map is merged into ``conv2``, whose last output channel is the gate
     logit. ``bn`` is None once folded into ``conv1``. BN and the activation
-    overwrite the output of ``conv1``. The input is popped straight into
-    ``conv1``, so it is freed before ``conv2`` allocates, and no name holds
-    the hidden tensor once ``conv2`` has run, so it is freed before the gate
-    allocates.
+    overwrite the output of ``conv1``.
+
+    When the hidden tensor of the whole batch would exceed
+    ``_MLP_CHUNK_BYTES``, the MLP runs over contiguous image chunks, never of
+    fewer images than the engine has threads, so each chunk's kernels still
+    split across them. Each chunk writes its result into its images of one
+    output: the MLP's own input, which the chunks after it no longer read,
+    unless that input is the shortcut (or a view of it), else a fresh array.
+    With one chunk the input is popped straight into ``conv1``, so it is
+    freed before ``conv2`` allocates. Either way no name holds a hidden
+    tensor once ``conv2`` has run, so it is freed before the gate allocates.
     """
 
     name: str
@@ -174,17 +193,48 @@ class Mlp(_Op):
     gate_map: PatSpParams | None
 
     def __call__(self, held, skip):
-        m = T.conv2d(self._hidden(held), self.conv2)
-        if self.gate is None:
-            return m
-        if self.gate_map is not None:
-            return B.pat_sp_forward(m, self.gate_map, self.gate)
-        c = self.gate.c_total
-        return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate)
+        n, step = len(held[0]), self._chunk_images(held[0])
+        if step >= n:
+            return self._branch(held)
+        x = held.pop()
+        out = self._output_for(x, skip)
+        for lo in range(0, n, step):
+            self._branch([x[lo:lo + step]], out[lo:lo + step])
+        return out
 
-    def _hidden(self, held):
+    def _chunk_images(self, x) -> int:
+        """Images per chunk: the whole-batch hidden tensor over the budget,
+        but never fewer than the engine's threads."""
+        n, _, h, w = x.shape
+        hidden = n * self.conv1.out_ch * h * w * x.itemsize
+        chunks = -(-hidden // _MLP_CHUNK_BYTES)
+        return max(-(-n // chunks), T._THREADS)
+
+    def _output_for(self, x, skip):
+        """``x`` when the chunks may write the output into it, else a new
+        array of the output's shape and dtype."""
+        c = self.conv2.out_ch if self.gate is None else self.gate.c_total
+        convs = (self.conv1, self.conv2) + (
+            () if self.gate_map is None else (self.gate_map.map_conv,))
+        dtype = np.result_type(x, *(conv.weight for conv in convs))
+        shape = (len(x), c, *x.shape[2:])
+        if (x.shape == shape and x.dtype == dtype and x.flags.c_contiguous
+                and not np.may_share_memory(x, skip)):
+            return x
+        return np.empty(shape, dtype)
+
+    def _branch(self, held, *out):
         # ``out`` goes by position, so a wrapper that passes on only
         # positional arguments still sees every call
+        if self.gate is None:
+            return T.conv2d(self._hidden(held), self.conv2, *out)
+        m = T.conv2d(self._hidden(held), self.conv2)
+        if self.gate_map is not None:
+            return B.pat_sp_forward(m, self.gate_map, self.gate, *out)
+        c = self.gate.c_total
+        return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate, *out)
+
+    def _hidden(self, held):
         h = T.conv2d(held.pop(), self.conv1)
         if self.bn is not None:
             T.batch_norm_infer(h, self.bn, h)
@@ -193,10 +243,11 @@ class Mlp(_Op):
 
 @dataclass(frozen=True, eq=False)
 class Residual(_Op):
-    """Adds the shortcut to the branch output in place. Every branch op
-    returns a buffer of its own, never memory shared with its input (the
-    partial blocks through ``blocks._partial``), so the add never writes
-    into the shortcut."""
+    """Adds the shortcut to the branch output in place. No branch op returns
+    memory shared with the shortcut: the partial blocks return a fresh
+    buffer (``blocks._partial``), and an ``Mlp`` a fresh one or its own
+    input when that is not the shortcut, so the add never writes into the
+    shortcut."""
 
     name: str
     macs: int = 0
@@ -452,7 +503,8 @@ def _keep_freed_heap() -> None:
     twice its largest recent block is free, so each forward faults its whole
     working set back in: about 1000 minor page faults, roughly a tenth of a
     T0 batch-1 forward. With these settings blocks up to 16 MB (every
-    activation of T2 at batch 8) come from the heap and up to 256 MB of
+    buffer of a T2 forward at batch 8, whose largest are its 6.4 MB stage-1
+    activations) come from the heap and up to 256 MB of
     free heap stays mapped; larger blocks, such as a weight file being read,
     are still mapped and unmapped on their own. One arena serves every
     thread, so the batch-split pool threads reuse the same retained heap
@@ -478,9 +530,13 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     built in the process also sets its heap policy (``_keep_freed_heap``).
     Each op pops its input from the runner (``_run``), so an activation is
     freed once the op that consumes it is done with it, unless it is the
-    shortcut of a later residual add. A batch of two or more runs with its kernels split across the engine's
-    threads (``tensor_ops._split_batches``); the logits are bitwise those
-    of a serial forward. Each image's row is bitwise its batch-1 logits
+    shortcut of a later residual add. An MLP whose whole-batch hidden tensor
+    would exceed ``_MLP_CHUNK_BYTES`` runs over image chunks and writes into
+    its own input when that is not the shortcut (``Mlp``). A batch of two or
+    more runs with its kernels split across the engine's threads
+    (``tensor_ops._split_batches``); the logits are bitwise those of a
+    serial forward, and each image's bits do not depend on the chunk it
+    runs in. Each image's row is bitwise its batch-1 logits
     where numpy runs a stacked ``(n, 1, k) @ (k, m)`` matmul one image at a
     time and OpenBLAS's SGEMM above 2^20 MACs gives rows whose bits do not
     depend on the row count (``blocks._SMALL_GEMM_MACS``); checked with

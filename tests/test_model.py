@@ -441,10 +441,12 @@ class TestPlan:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_batched_forward_keeps_one_copy_of_each_activation(self):
-        # BN and activations overwrite their conv's output, the hidden MLP
-        # tensor is freed before the gate allocates, and the 3x3 tap scratch
+        # BN and activations overwrite their conv's output, a stage-1 MLP
+        # (a 6.25 MiB hidden tensor over the 4 MiB budget) runs over two
+        # 4-image chunks that write into its input, and the 3x3 tap scratch
         # exists per image: T2 fused at batch 8 and 160 x 160 peaks at
-        # 12.62 MiB, against 22.0 MB when each of those kept a second buffer
+        # 11.00 MiB (12.62 MiB with the whole-batch hidden tensor, 22.0 MB
+        # when BN, the activation and the taps each kept a second buffer)
         spec = build_variant("T2", input_size=160)
         store, _ = fuse_model(init_params(spec, seed=0), spec)
         x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
@@ -505,6 +507,87 @@ class TestPlan:
         monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
         model_forward(spec, store, x)
         assert len(mixer_out) == 1 and dead == [True]
+
+    def test_large_mlps_run_over_chunks_of_at_least_the_thread_count(self, monkeypatch):
+        # T2 fused at batch 8 and 224 x 224: a stage-1 hidden tensor is
+        # 8 x 128 x 56 x 56 float32, 12.25 MiB, so 4 chunks of the 4 MiB
+        # budget, 2 images each, or one image per engine thread if there are
+        # more threads. Each chunk's conv1 sees that many images; stage 4
+        # (7 x 7) runs in one piece
+        spec = build_variant("T2")
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((8, 3, 224, 224), dtype=np.float32)
+        model_forward(spec, store, x)  # build the plan
+        conv1 = {id(op.conv1): op.name for op in store.plan.ops if op.name.endswith(".mlp")}
+        seen, real_conv = [], tensor_ops.conv2d
+
+        def conv2d(x, p, *out):
+            if id(p) in conv1:
+                seen.append((conv1[id(p)].split(".")[0], len(x)))
+            return real_conv(x, p, *out)
+
+        monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
+        model_forward(spec, store, x)
+        step = max(2, tensor_ops._THREADS)
+        chunks = [min(step, 8 - lo) for lo in range(0, 8, step)]
+        assert [k for stage, k in seen if stage == "stage1"] == chunks * 2  # two blocks
+        assert [k for stage, k in seen if stage == "stage4"] == [8] * 4
+
+    def test_chunked_forward_holds_one_chunk_of_hidden_tensor(self):
+        # T2 fused at batch 8 and 224 x 224 peaks in a stage-1 MLP at
+        # 56 x 56, where the 64-channel shortcut and the MLP's input, which
+        # the chunks overwrite with the output, are live with one chunk's
+        # 128-channel hidden tensor and 65-channel second conv output:
+        # 16.87 MiB with 2-image chunks. Without chunks the whole-batch
+        # hidden tensor and conv2 output take their place: 24.6 MiB
+        spec = build_variant("T2")
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((8, 3, 224, 224), dtype=np.float32)
+        model_forward(spec, store, x)  # build the plan outside the measurement
+        tracemalloc.start()
+        try:
+            model_forward(spec, store, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = max(2, tensor_ops._THREADS)
+        live = 4 * 56 * 56 * (2 * 8 * 64 + step * (128 + 65))
+        assert peak < live + (1 << 20)
+
+    @pytest.mark.parametrize("mode", [None, "no_patsp"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_chunked_mlp_writes_into_its_input_unless_it_is_the_shortcut(
+            self, rng, monkeypatch, fused, mode):
+        # a 1-byte budget chunks every MLP, at one image per engine thread;
+        # the output is bitwise the one-chunk output either way
+        threads = tensor_ops._THREADS
+        spec = tiny_spec()
+        if mode:
+            spec = build_ablation(spec, mode)
+        store = init_params(spec, seed=5)
+        if fused:
+            store, _ = fuse_model(store, spec)
+        mlp = next(op for op in build_plan(spec, store).ops
+                   if op.name == "stage1.block0.mlp")
+        x = rand_t4(rng, 2 * threads + 1, 32, 8, 8)
+        expected = mlp([x.copy()], None)
+        chunks, real_conv = [], tensor_ops.conv2d
+
+        def conv2d(x, p, *out):
+            if p is mlp.conv1:
+                chunks.append(len(x))
+            return real_conv(x, p, *out)
+
+        monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
+        monkeypatch.setattr(model_mod, "_MLP_CHUNK_BYTES", 1)
+        y = x.copy()
+        assert mlp([y], None) is y and y.tobytes() == expected.tobytes()
+        assert chunks == [threads, threads, 1]
+        for skip in (lambda y: y, lambda y: y[:, :16]):
+            y = x.copy()
+            got = mlp([y], skip(y))
+            assert not np.may_share_memory(got, y) and np.array_equal(y, x)
+            assert got.tobytes() == expected.tobytes()
 
     def test_converted_input_is_freed_after_the_stem(self):
         # a float64 input is copied to float32; once the stem has consumed
