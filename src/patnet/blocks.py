@@ -5,9 +5,8 @@ Every block splits its input along channels: the first ``c_p`` channels go
 through a regular convolution, the remaining "untouched" channels are
 reweighted by an attention gate (copied, in plain partial convolution), and
 ``_partial`` writes both branches, in the original channel order, into one
-fresh output, or into the ``out`` the spatial gate is given. So no block
-returns memory shared with its input, except the spatial gate of a split
-without untouched channels and without ``out``, which returns its input.
+fresh output. So no block returns memory shared with its input, except the
+spatial gate of a split without untouched channels, which returns its input.
 Setting ``c_p = 0`` turns a block into its full-attention counterpart;
 ``c_p = c_total`` degrades it to the dense convolution. The model's dense
 and depthwise study arms are that case: ``pconv_forward`` over every
@@ -24,7 +23,6 @@ import numpy as np
 from .tensor_ops import (
     ConvParams,
     ShapeError,
-    _new_or_checked,
     _over_batch,
     _softmax_in_place,
     channel_stats,
@@ -69,20 +67,18 @@ def channel_split(x: np.ndarray, s: PartialSplit) -> tuple[np.ndarray, np.ndarra
 
 
 def _partial(x: np.ndarray, s: PartialSplit, conv3: ConvParams | None,
-             untouched, dtype, out: np.ndarray | None = None) -> np.ndarray:
+             untouched, dtype) -> np.ndarray:
     """The output of a partial block. On this thread, ``conv3`` runs on the
-    first ``s.c_p`` channels of ``x`` (None passes them through). Then
-    ``out``, a C-contiguous array of ``x``'s shape and the result type of
-    that branch and ``dtype``, or else a fresh one, is filled over batch
-    slices: the conv branch in front, and behind it what
+    first ``s.c_p`` channels of ``x`` (None passes them through). Then one
+    fresh output, of the result type of that branch and ``dtype``, is filled
+    over batch slices: the conv branch in front, and behind it what
     ``untouched(lo, hi, out_u)`` writes for the untouched channels of images
-    ``lo:hi``. Without untouched channels and without ``out`` the conv
-    branch is the output."""
+    ``lo:hi``. Without untouched channels the conv branch is the output."""
     x_p = x[:, : s.c_p]
     y_p = x_p if conv3 is None or s.c_p == 0 else conv2d(x_p, conv3)
-    if s.c_u == 0 and out is None:
+    if s.c_u == 0:
         return y_p
-    out = _new_or_checked(out, x.shape, np.result_type(y_p, dtype), "partial block")
+    out = np.empty(x.shape, np.result_type(y_p, dtype))
 
     def part(lo, hi):
         out[lo:hi, : s.c_p] = y_p[lo:hi]
@@ -155,20 +151,16 @@ class PatSpParams:
             raise ShapeError("spatial map conv must be 1x1")
 
 
-def pat_sp_forward(x: np.ndarray, p: PatSpParams, s: PartialSplit,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def pat_sp_forward(x: np.ndarray, p: PatSpParams, s: PartialSplit) -> np.ndarray:
     a = hard_sigmoid(conv2d(x, p.map_conv))
-    return apply_spatial_gate(x, a, s, out)
+    return apply_spatial_gate(x, a, s)
 
 
-def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply the untouched channels of ``x`` by the (n, 1, h, w) map,
-    into ``out`` (C-contiguous, of ``x``'s shape and the result dtype; it
-    must not overlap ``x`` or ``a``) or a new array."""
+def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit) -> np.ndarray:
+    """Multiply the untouched channels of ``x`` by the (n, 1, h, w) map."""
     x_u = channel_split(x, s)[1]
-    return _partial(x, s, None, lambda lo, hi, out_u: np.multiply(
-        x_u[lo:hi], a[lo:hi], out=out_u), np.result_type(x, a), out)
+    return _partial(x, s, None, lambda lo, hi, out: np.multiply(
+        x_u[lo:hi], a[lo:hi], out=out), np.result_type(x, a))
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,10 @@ def _conv_macs(conv: ConvParams | None, hw: int) -> int:
 # Every op is called as op(held, skip) and returns its output. ``held`` is a
 # one-slot list holding the op's input, which the op pops, so once the op is
 # done with its input no reference to it is left (a caller's argument would
-# stay alive for the whole call). The popped input is the op's to overwrite,
-# unless it is ``skip`` or a view of it. Ops reach kernels and blocks through
-# their modules (T.conv2d, B.pat_ch_forward) at call time, never through
-# references taken while building: the per-layer tracer times a forward by
-# rebinding those module attributes.
+# stay alive for the whole call). Ops reach kernels and blocks through their
+# modules (T.conv2d, B.pat_ch_forward) at call time, never through references
+# taken while building: the per-layer tracer times a forward by rebinding
+# those module attributes.
 
 class _Op:
     # True when this op's output is the shortcut that the next Residual adds
@@ -151,17 +150,6 @@ class Mixer(_Op):
         return getattr(B, self.forward)(held.pop(), self.params, self.split)
 
 
-# An MLP whose hidden tensor for the whole batch would be larger than this
-# runs over image chunks, each writing its part of the output, so the widest
-# tensor of a batched forward is never held for every image. Under the batch
-# split each of two threads then works on at most 2 MiB of hidden tensor, one
-# core's L2 on the 2-vCPU Xeon this was sized on. A budget in bytes, not a
-# fixed chunk, keeps the small MLPs of the later stages in one piece: each
-# chunk costs a pool round trip per kernel, and 2-image chunks at every stage
-# saved no more memory and made T2 at batch 8 about 6% slower.
-_MLP_CHUNK_BYTES = 4 << 20
-
-
 @dataclass(frozen=True, eq=False)
 class Mlp(_Op):
     """conv1 -> BN -> activation -> conv2, then the spatial gate.
@@ -170,17 +158,11 @@ class Mlp(_Op):
     standalone map conv; when the gate is present but ``gate_map`` is None,
     the map is merged into ``conv2``, whose last output channel is the gate
     logit. ``bn`` is None once folded into ``conv1``. BN and the activation
-    overwrite the output of ``conv1``.
-
-    When the hidden tensor of the whole batch would exceed
-    ``_MLP_CHUNK_BYTES``, the MLP runs over contiguous image chunks, never of
-    fewer images than the engine has threads, so each chunk's kernels still
-    split across them. Each chunk writes its result into its images of one
-    output: the MLP's own input, which the chunks after it no longer read,
-    unless that input is the shortcut (or a view of it), else a fresh array.
-    With one chunk the input is popped straight into ``conv1``, so it is
-    freed before ``conv2`` allocates. Either way no name holds a hidden
-    tensor once ``conv2`` has run, so it is freed before the gate allocates.
+    overwrite the output of ``conv1``. The input is popped straight into
+    ``conv1``, so it is freed before ``conv2`` allocates, and no name holds
+    the hidden tensor once ``conv2`` has run, so it is freed before the gate
+    allocates. How many images it sees at once is ``model_forward``'s
+    choice (``_prefix_chunks``).
     """
 
     name: str
@@ -193,48 +175,17 @@ class Mlp(_Op):
     gate_map: PatSpParams | None
 
     def __call__(self, held, skip):
-        n, step = len(held[0]), self._chunk_images(held[0])
-        if step >= n:
-            return self._branch(held)
-        x = held.pop()
-        out = self._output_for(x, skip)
-        for lo in range(0, n, step):
-            self._branch([x[lo:lo + step]], out[lo:lo + step])
-        return out
-
-    def _chunk_images(self, x) -> int:
-        """Images per chunk: the whole-batch hidden tensor over the budget,
-        but never fewer than the engine's threads."""
-        n, _, h, w = x.shape
-        hidden = n * self.conv1.out_ch * h * w * x.itemsize
-        chunks = -(-hidden // _MLP_CHUNK_BYTES)
-        return max(-(-n // chunks), T._THREADS)
-
-    def _output_for(self, x, skip):
-        """``x`` when the chunks may write the output into it, else a new
-        array of the output's shape and dtype."""
-        c = self.conv2.out_ch if self.gate is None else self.gate.c_total
-        convs = (self.conv1, self.conv2) + (
-            () if self.gate_map is None else (self.gate_map.map_conv,))
-        dtype = np.result_type(x, *(conv.weight for conv in convs))
-        shape = (len(x), c, *x.shape[2:])
-        if (x.shape == shape and x.dtype == dtype and x.flags.c_contiguous
-                and not np.may_share_memory(x, skip)):
-            return x
-        return np.empty(shape, dtype)
-
-    def _branch(self, held, *out):
-        # ``out`` goes by position, so a wrapper that passes on only
-        # positional arguments still sees every call
-        if self.gate is None:
-            return T.conv2d(self._hidden(held), self.conv2, *out)
         m = T.conv2d(self._hidden(held), self.conv2)
+        if self.gate is None:
+            return m
         if self.gate_map is not None:
-            return B.pat_sp_forward(m, self.gate_map, self.gate, *out)
+            return B.pat_sp_forward(m, self.gate_map, self.gate)
         c = self.gate.c_total
-        return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate, *out)
+        return B.apply_spatial_gate(m[:, :c], T.hard_sigmoid(m[:, c:]), self.gate)
 
     def _hidden(self, held):
+        # ``out`` goes by position, so a wrapper that passes on only
+        # positional arguments still sees every call
         h = T.conv2d(held.pop(), self.conv1)
         if self.bn is not None:
             T.batch_norm_infer(h, self.bn, h)
@@ -243,11 +194,10 @@ class Mlp(_Op):
 
 @dataclass(frozen=True, eq=False)
 class Residual(_Op):
-    """Adds the shortcut to the branch output in place. No branch op returns
-    memory shared with the shortcut: the partial blocks return a fresh
-    buffer (``blocks._partial``), and an ``Mlp`` a fresh one or its own
-    input when that is not the shortcut, so the add never writes into the
-    shortcut."""
+    """Adds the shortcut to the branch output in place. Every branch op
+    returns a buffer of its own, never memory shared with its input (the
+    partial blocks through ``blocks._partial``), so the add never writes
+    into the shortcut."""
 
     name: str
     macs: int = 0
@@ -503,10 +453,10 @@ def _keep_freed_heap() -> None:
     twice its largest recent block is free, so each forward faults its whole
     working set back in: about 1000 minor page faults, roughly a tenth of a
     T0 batch-1 forward. With these settings blocks up to 16 MB (every
-    buffer of a T2 forward at batch 8, whose largest are its 6.4 MB stage-1
-    activations) come from the heap and up to 256 MB of
-    free heap stays mapped; larger blocks, such as a weight file being read,
-    are still mapped and unmapped on their own. One arena serves every
+    buffer of a T2 forward at batch 8, whose largest is the 6.4 MB hidden
+    tensor of a 4-image stage-1 chunk) come from the heap and up to 256 MB
+    of free heap stays mapped; larger blocks, such as a weight file being
+    read, are still mapped and unmapped on their own. One arena serves every
     thread, so the batch-split pool threads reuse the same retained heap
     instead of growing an arena of their own (about 9 MB more peak RSS
     over 20 forwards of T2 at batch 8). Process-wide, so set once per
@@ -522,6 +472,55 @@ def _keep_freed_heap() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+# A batched forward runs its first ops over image chunks while an MLP among
+# them would hold more than this in hidden tensor for the whole batch: 2 MiB
+# for each of two threads, one core's L2 on the 2-vCPU Xeon this was sized
+# on. A chunk holds at least one image per engine thread, so its kernels
+# still split, and two per thread where the batch allows two such chunks:
+# one image per thread ran 2-4% slower at batch 8. Each chunk costs a
+# pool round trip per kernel, so the stages after the last such MLP run whole.
+_CHUNK_BYTES = 4 << 20
+
+
+def _prefix_chunks(ops, n: int, hw: tuple[int, int]) -> tuple[int, int]:
+    """``(k, step)``: run ``ops[:k]`` over chunks of ``step`` images of an
+    ``n``-image batch at extent ``hw``, then the rest over the whole batch.
+    ``ops[k]`` is the first ``Stem`` after the last MLP whose float32 hidden
+    tensor for the whole batch exceeds ``_CHUNK_BYTES`` (``k`` is
+    ``len(ops)`` when no stem follows it). ``(0, n)`` when nothing needs
+    chunks or one chunk would hold the whole batch."""
+    h, w = hw
+    last, widest = -1, 0
+    for i, op in enumerate(ops):
+        if isinstance(op, Stem):
+            h, w = T.conv_out_hw(h, w, op.conv)
+        elif isinstance(op, Mlp):
+            hidden = op.conv1.out_ch * h * w * 4  # float32 bytes per image
+            if n * hidden > _CHUNK_BYTES:
+                last, widest = i, max(widest, hidden)
+    if not widest:
+        return 0, n
+    chunks = -(-n * widest // _CHUNK_BYTES)
+    step = max(-(-n // chunks), T._THREADS, min(2 * T._THREADS, -(-n // 2)))
+    if step >= n:
+        return 0, n
+    return next((i for i in range(last, len(ops)) if isinstance(ops[i], Stem)),
+                len(ops)), step
+
+
+def _run_chunks(ops, x: np.ndarray, step: int) -> np.ndarray:
+    """``ops`` over contiguous chunks of ``step`` images of ``x``, each
+    converted to float32 on its own, gathered into one output."""
+    out = None
+    for lo in range(0, len(x), step):
+        part = _run(ops, [np.ascontiguousarray(x[lo:lo + step], dtype=np.float32)])
+        if out is None:
+            out = np.empty((len(x), *part.shape[1:]), part.dtype)
+        out[lo:lo + step] = part
+        del part  # not alive while the next chunk runs
+    return out
+
+
 def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarray:
     """Run the classifier end to end; returns (n, num_classes) logits.
 
@@ -530,17 +529,18 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     built in the process also sets its heap policy (``_keep_freed_heap``).
     Each op pops its input from the runner (``_run``), so an activation is
     freed once the op that consumes it is done with it, unless it is the
-    shortcut of a later residual add. An MLP whose whole-batch hidden tensor
-    would exceed ``_MLP_CHUNK_BYTES`` runs over image chunks and writes into
-    its own input when that is not the shortcut (``Mlp``). A batch of two or
-    more runs with its kernels split across the engine's threads
+    shortcut of a later residual add. Where an MLP's hidden tensor for the
+    whole batch would exceed ``_CHUNK_BYTES``, the ops up to the merge after
+    the last such MLP run over image chunks, gathered into one buffer before
+    the rest runs over the whole batch (``_prefix_chunks``). A batch of two
+    or more runs with its kernels split across the engine's threads
     (``tensor_ops._split_batches``); the logits are bitwise those of a
-    serial forward, and each image's bits do not depend on the chunk it
-    runs in. Each image's row is bitwise its batch-1 logits
-    where numpy runs a stacked ``(n, 1, k) @ (k, m)`` matmul one image at a
-    time and OpenBLAS's SGEMM above 2^20 MACs gives rows whose bits do not
-    depend on the row count (``blocks._SMALL_GEMM_MACS``); checked with
-    numpy 2.4 and OpenBLAS 0.3.31 on its SkylakeX kernels.
+    serial forward, whatever chunks the images run in. Each image's row is
+    bitwise its batch-1 logits where numpy runs a stacked ``(n, 1, k) @
+    (k, m)`` matmul one image at a time and OpenBLAS's SGEMM above 2^20 MACs
+    gives rows whose bits do not depend on the row count
+    (``blocks._SMALL_GEMM_MACS``); checked with numpy 2.4 and OpenBLAS
+    0.3.31 on its SkylakeX kernels.
     """
     T.check_tensor4(x, "model input")
     n, c, h, w = x.shape
@@ -557,4 +557,7 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
         _keep_freed_heap()
         plan = store.plan = build_plan(spec, store)
     with T._split_batches(n):
-        return _run(plan.ops, [np.ascontiguousarray(x, dtype=np.float32)])
+        k, step = _prefix_chunks(plan.ops, n, (h, w))
+        if not k:
+            return _run(plan.ops, [np.ascontiguousarray(x, dtype=np.float32)])
+        return _run(plan.ops[k:], [_run_chunks(plan.ops[:k], x, step)])

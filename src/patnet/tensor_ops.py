@@ -149,11 +149,9 @@ def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
     return oh, ow
 
 
-def conv2d(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Zero-padded strided 2-d convolution (cross-correlation, the usual CNN
-    convention) with grouped channels, into ``out`` (a C-contiguous array of
-    the output's shape and dtype, such as a batch slice of a larger one) or a
-    new array."""
+    convention) with grouped channels."""
     check_tensor4(x, "conv2d input")
     n, c, h, w = x.shape
     if c != p.in_ch:
@@ -164,8 +162,7 @@ def conv2d(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None) -> np.nd
             f"conv2d: padded input {h + 2 * p.padding}x{w + 2 * p.padding} "
             f"admits no {p.kh}x{p.kw} window at stride {p.stride}")
 
-    out = _new_or_checked(out, (n, p.out_ch, oh, ow), np.result_type(p.weight, x),
-                          "conv2d")
+    out = np.empty((n, p.out_ch, oh, ow), np.result_type(p.weight, x))
     if p.kh == p.kw == 3 and p.stride == 1 and p.padding == 1:
         weight, adds = p.taps_weight, _tap_adds(h, w)
         kernel = lambda lo, hi: _conv3x3_taps(x[lo:hi], weight, adds, out[lo:hi])
@@ -384,20 +381,6 @@ def _output_like(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if out.shape != x.shape or out.dtype != x.dtype:
         raise ShapeError(f"out {out.shape} {out.dtype} does not match "
                          f"input {x.shape} {x.dtype}")
-    return out
-
-
-def _new_or_checked(out: np.ndarray | None, shape: tuple, dtype,
-                    what: str) -> np.ndarray:
-    """``out``, checked to be a C-contiguous ``dtype`` array of ``shape``, or
-    a new one. The kernels write through reshaped views of ``out``, which
-    would silently be copies of a non-contiguous array."""
-    if out is None:
-        return np.empty(shape, dtype)
-    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ShapeError(f"{what}: out must be a C-contiguous {np.dtype(dtype)} array "
-                         f"of shape {shape}, got {out.shape} {out.dtype}"
-                         + ("" if out.flags.c_contiguous else ", not C-contiguous"))
     return out
 
 

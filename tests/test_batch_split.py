@@ -1,13 +1,19 @@
 """The batch split: kernels of a batched forward run over batch slices on
 the engine's thread pool while OpenBLAS is pinned to one thread."""
 
+import hashlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patnet
 from patnet import blocks, tensor_ops
 from patnet.config import build_ablation, build_variant
 from patnet.fusion import fuse_model
@@ -187,3 +193,39 @@ def test_concurrent_batched_forwards_stay_correct(blas_at_cpu_count):
     for got, want in zip(results, expected):
         assert got is not None and got.tobytes() == want.tobytes()
     assert blas_threads() == prior
+
+
+def logits_digests(variant: str, batches) -> dict:
+    """sha256 of the logits of ``variant`` at 224 x 224, unfused and fused,
+    for each batch size in ``batches``."""
+    spec = build_variant(variant)
+    store = perturbed_store(spec, seed=6)
+    x = np.random.default_rng(7).standard_normal((max(batches), 3, 224, 224),
+                                                 dtype=np.float32)
+    return {f"{s.fused}/{n}": hashlib.sha256(model_forward(spec, s, x[:n]).tobytes()).hexdigest()
+            for s in (store, fuse_model(store, spec)[0]) for n in batches}
+
+
+# A child process pinned to one CPU before it imports patnet has one engine
+# thread: no pool, no batch split, and chunks sized for one thread
+_PINNED_CHILD = """
+import json, os, sys
+os.sched_setaffinity(0, [{cpu}])
+sys.path[:0] = [{src!r}, {tests!r}]
+from patnet import tensor_ops
+from test_batch_split import logits_digests
+assert tensor_ops._THREADS == 1
+print(json.dumps(logits_digests({variant!r}, {batches!r})))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("variant,batches", [("T0", (1,)), ("T0", (3,)), ("T2", (8,))])
+def test_logits_do_not_depend_on_the_cpu_count(variant, batches):
+    cpu = min(os.sched_getaffinity(0))
+    code = _PINNED_CHILD.format(cpu=cpu, variant=variant, batches=batches,
+                                src=str(Path(patnet.__file__).parents[1]),
+                                tests=str(Path(__file__).parent))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=300, check=True)
+    assert json.loads(child.stdout) == logits_digests(variant, batches)

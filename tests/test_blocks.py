@@ -259,30 +259,6 @@ class TestPatSp:
         assert np.array_equal(pat_sp_forward(x, p, PartialSplit(c, c)), x)
 
 
-    @pytest.mark.parametrize("cp", [0, 2, 8])
-    def test_out_batch_slice_is_the_fresh_result(self, rng, cp):
-        c, s = 8, PartialSplit(8, cp)
-        x = rand_t4(rng, 3, c, 4, 4)
-        a = rand_t4(rng, 3, 1, 4, 4)
-        p = PatSpParams(ConvParams(rng.standard_normal((1, c, 1, 1)).astype(np.float32),
-                                   np.zeros(1, np.float32)))
-        for gate in (lambda *out: apply_spatial_gate(x, a, s, *out),
-                     lambda *out: pat_sp_forward(x, p, s, *out)):
-            fresh = gate()
-            whole = np.full((5, c, 4, 4), np.nan, np.float32)
-            got = gate(whole[1:4])
-            assert got.base is whole and got.tobytes() == fresh.tobytes(), cp
-            assert np.isnan(whole[[0, 4]]).all()
-
-    def test_out_must_be_contiguous_and_match(self, rng):
-        x = rand_t4(rng, 2, 8, 4, 4)
-        a = rand_t4(rng, 2, 1, 4, 4)
-        for out in (np.empty(x.shape, np.float64), np.empty((2, 8, 4, 5), np.float32),
-                    np.empty((2, 8, 4, 8), np.float32)[..., ::2]):
-            with pytest.raises(ShapeError, match="out must be"):
-                apply_spatial_gate(x, a, PartialSplit(8, 2), out)
-
-
 class TestPatSf:
     def test_single_token_attention(self, rng):
         c, cp = 8, 4

@@ -441,23 +441,13 @@ class TestPlan:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_batched_forward_keeps_one_copy_of_each_activation(self):
-        # BN and activations overwrite their conv's output, a stage-1 MLP
-        # (a 6.25 MiB hidden tensor over the 4 MiB budget) runs over two
-        # 4-image chunks that write into its input, and the 3x3 tap scratch
-        # exists per image: T2 fused at batch 8 and 160 x 160 peaks at
-        # 11.00 MiB (12.62 MiB with the whole-batch hidden tensor, 22.0 MB
-        # when BN, the activation and the taps each kept a second buffer)
-        spec = build_variant("T2", input_size=160)
-        store, _ = fuse_model(init_params(spec, seed=0), spec)
-        x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
-        model_forward(spec, store, x)  # build the plan outside the measurement
-        tracemalloc.start()
-        try:
-            model_forward(spec, store, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 19 << 20
+        # BN and activations overwrite their conv's output, stage 1 (a
+        # 6.25 MiB hidden tensor over the 4 MiB budget) runs over two
+        # 4-image chunks, and the 3x3 tap scratch exists per image: T2 fused
+        # at batch 8 and 160 x 160 peaks at 9.47 MiB (12.62 MiB with
+        # whole-batch MLPs, 22.0 MB when BN, the activation and the taps
+        # each kept a second buffer)
+        assert fused_forward_peak("T2", 8, 160) < 19 << 20
 
     def test_batched_gelu_forward_holds_its_activations_and_gelu_blocks(self):
         # T0 fused at batch 8 and 160 x 160 peaks in a stage-1 MLP, at 40 x 40:
@@ -466,18 +456,9 @@ class TestPlan:
         # GELU adds two scratch blocks per batch slice, and runs before the
         # second conv allocates. Peaks on 2 CPUs: 14.07 MiB with three
         # whole-tensor GELU buffers, 6.37 MiB with blocked GELU
-        spec = build_variant("T0", input_size=160)
-        store, _ = fuse_model(init_params(spec, seed=0), spec)
-        x = np.random.default_rng(0).standard_normal((8, 3, 160, 160), dtype=np.float32)
-        model_forward(spec, store, x)  # build the plan outside the measurement
-        tracemalloc.start()
-        try:
-            model_forward(spec, store, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = fused_forward_peak("T0", 8, 160)
         activation = 8 * 32 * 40 * 40 * 4
-        slices = min(len(x), tensor_ops._THREADS) if tensor_ops._split_ready() else 1
+        slices = min(8, tensor_ops._THREADS) if tensor_ops._split_ready() else 1
         assert peak < 4 * activation + slices * 2 * 4 * tensor_ops._GELU_BLOCK
 
     def test_mlp_input_is_freed_before_its_second_conv(self, monkeypatch):
@@ -510,10 +491,11 @@ class TestPlan:
 
     def test_large_mlps_run_over_chunks_of_at_least_the_thread_count(self, monkeypatch):
         # T2 fused at batch 8 and 224 x 224: a stage-1 hidden tensor is
-        # 8 x 128 x 56 x 56 float32, 12.25 MiB, so 4 chunks of the 4 MiB
-        # budget, 2 images each, or one image per engine thread if there are
-        # more threads. Each chunk's conv1 sees that many images; stage 4
-        # (7 x 7) runs in one piece
+        # 8 x 128 x 56 x 56 float32, 12.25 MiB, and a stage-2 one 6.13 MiB,
+        # both over the 4 MiB budget, so stages 1 and 2 run over chunks of
+        # max(2, t, min(2t, 4)) images with t engine threads: the 2 the
+        # budget asks for, at least one per thread, and two per thread while
+        # the batch still makes two chunks. Stages 3 and 4 run whole
         spec = build_variant("T2")
         store, _ = fuse_model(init_params(spec, seed=0), spec)
         x = np.random.default_rng(0).standard_normal((8, 3, 224, 224), dtype=np.float32)
@@ -521,73 +503,118 @@ class TestPlan:
         conv1 = {id(op.conv1): op.name for op in store.plan.ops if op.name.endswith(".mlp")}
         seen, real_conv = [], tensor_ops.conv2d
 
-        def conv2d(x, p, *out):
+        def conv2d(x, p):
             if id(p) in conv1:
                 seen.append((conv1[id(p)].split(".")[0], len(x)))
-            return real_conv(x, p, *out)
+            return real_conv(x, p)
 
         monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
         model_forward(spec, store, x)
-        step = max(2, tensor_ops._THREADS)
+        threads = tensor_ops._THREADS
+        step = max(2, threads, min(2 * threads, 4))
         chunks = [min(step, 8 - lo) for lo in range(0, 8, step)]
-        assert [k for stage, k in seen if stage == "stage1"] == chunks * 2  # two blocks
-        assert [k for stage, k in seen if stage == "stage4"] == [8] * 4
+        by_stage = [[k for stage, k in seen if stage == f"stage{i}"] for i in range(1, 5)]
+        # per chunk, the two blocks of stage 1, then the two of stage 2
+        assert by_stage[:2] == [[k for k in chunks for _ in range(2)]] * 2
+        assert by_stage[2:] == [[8] * 6, [8] * 4]
 
     def test_chunked_forward_holds_one_chunk_of_hidden_tensor(self):
-        # T2 fused at batch 8 and 224 x 224 peaks in a stage-1 MLP at
-        # 56 x 56, where the 64-channel shortcut and the MLP's input, which
-        # the chunks overwrite with the output, are live with one chunk's
-        # 128-channel hidden tensor and 65-channel second conv output:
-        # 16.87 MiB with 2-image chunks. Without chunks the whole-batch
-        # hidden tensor and conv2 output take their place: 24.6 MiB
-        spec = build_variant("T2")
-        store, _ = fuse_model(init_params(spec, seed=0), spec)
-        x = np.random.default_rng(0).standard_normal((8, 3, 224, 224), dtype=np.float32)
-        model_forward(spec, store, x)  # build the plan outside the measurement
-        tracemalloc.start()
-        try:
-            model_forward(spec, store, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 over 4-image
+        # chunks. It peaks at 15.39 MiB in conv1 of a stage-1 MLP of the
+        # second chunk, where the first chunk's 128-channel stage-2 output
+        # (8 images once gathered) and the chunk's 64-channel shortcut, MLP
+        # input and 128-channel hidden tensor are live. The bound is that of
+        # chunking only the MLPs, by ``step`` images each (16.87 MiB with
+        # 2-image chunks): the shortcut and the MLP input of the whole batch,
+        # and one chunk's hidden tensor and 65-channel second conv output.
+        # With whole-batch MLPs the forward peaks at 24.6 MiB
         step = max(2, tensor_ops._THREADS)
         live = 4 * 56 * 56 * (2 * 8 * 64 + step * (128 + 65))
-        assert peak < live + (1 << 20)
+        assert fused_forward_peak("T2", 8, 224) < live + (1 << 20)
 
-    @pytest.mark.parametrize("mode", [None, "no_patsp"])
+    def test_a_larger_batch_runs_more_chunks_not_larger_ones(self, monkeypatch):
+        # with two engine threads, T2 fused at batch 16 and 224 x 224 runs
+        # stages 1 to 3 over four 4-image chunks and peaks at 15.41 MiB, as
+        # at batch 8, under the batch-8 bound of the test above (31.46 MiB
+        # when only the MLPs ran over chunks, with the shortcut and the MLP
+        # input held for all 16 images)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        live = 4 * 56 * 56 * (2 * 8 * 64 + 2 * (128 + 65))
+        assert fused_forward_peak("T2", 16, 224) < live + (1 << 20)
+
+    def test_chunks_lower_the_peak_of_a_batch_of_three(self, monkeypatch):
+        # with two engine threads, T2 fused at batch 3 and 224 x 224 runs
+        # stage 1 as 2 + 1 images and peaks at 6.18 MiB, below the whole
+        # batch's 64-channel shortcut and MLP input and 128-channel hidden
+        # tensor, which a whole-batch MLP holds (9.24 MiB when only the MLPs
+        # ran over chunks, which at n = 3 saved nothing)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        assert fused_forward_peak("T2", 3, 224) < 3 * 56 * 56 * 4 * (64 + 64 + 128)
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "strided"])
     @pytest.mark.parametrize("fused", [False, True])
-    def test_chunked_mlp_writes_into_its_input_unless_it_is_the_shortcut(
-            self, rng, monkeypatch, fused, mode):
-        # a 1-byte budget chunks every MLP, at one image per engine thread;
-        # the output is bitwise the one-chunk output either way
-        threads = tensor_ops._THREADS
+    def test_every_op_may_run_over_chunks(self, rng, monkeypatch, fused, kind):
+        # a 1-byte budget puts every MLP over it, so the whole plan, head
+        # included, runs over chunks of two images per engine thread, the
+        # last one short, each converted to float32 on its own; the logits
+        # are bitwise the whole batch's
         spec = tiny_spec()
-        if mode:
-            spec = build_ablation(spec, mode)
-        store = init_params(spec, seed=5)
+        store = perturbed(init_params(spec, seed=5), seed=5)
         if fused:
             store, _ = fuse_model(store, spec)
-        mlp = next(op for op in build_plan(spec, store).ops
-                   if op.name == "stage1.block0.mlp")
-        x = rand_t4(rng, 2 * threads + 1, 32, 8, 8)
-        expected = mlp([x.copy()], None)
-        chunks, real_conv = [], tensor_ops.conv2d
+        threads = tensor_ops._THREADS
+        x = rand_t4(rng, 4 * threads + 1, 3, 32, 32)
+        whole = model_forward(spec, store, x)
+        x = {"float32": x, "float64": x.astype(np.float64),
+             "strided": np.repeat(x, 2, axis=3)[..., ::2]}[kind]
+        monkeypatch.setattr(model_mod, "_CHUNK_BYTES", 1)
+        ops = store.plan.ops
+        assert model_mod._prefix_chunks(ops, len(x), (32, 32)) == (len(ops), 2 * threads)
+        assert model_forward(spec, store, x).tobytes() == whole.tobytes()
 
-        def conv2d(x, p, *out):
-            if p is mlp.conv1:
-                chunks.append(len(x))
-            return real_conv(x, p, *out)
+    def test_a_chunk_output_is_freed_before_the_next_chunk_runs(self, rng, monkeypatch):
+        # once copied into the gathered buffer, nothing names a chunk's
+        # output, so it does not add to the next chunk's peak
+        spec = tiny_spec()
+        store = init_params(spec, seed=5)
+        x = rand_t4(rng, 4 * tensor_ops._THREADS + 1, 3, 32, 32)
+        model_forward(spec, store, x)  # build the plan
+        monkeypatch.setattr(model_mod, "_CHUNK_BYTES", 1)
+        outputs, alive, real_run = [], [], model_mod._run
 
-        monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
-        monkeypatch.setattr(model_mod, "_MLP_CHUNK_BYTES", 1)
-        y = x.copy()
-        assert mlp([y], None) is y and y.tobytes() == expected.tobytes()
-        assert chunks == [threads, threads, 1]
-        for skip in (lambda y: y, lambda y: y[:, :16]):
-            y = x.copy()
-            got = mlp([y], skip(y))
-            assert not np.may_share_memory(got, y) and np.array_equal(y, x)
-            assert got.tobytes() == expected.tobytes()
+        def run(ops, held):
+            alive.extend(ref() is not None for ref in outputs)
+            y = real_run(ops, held)
+            outputs.append(weakref.ref(y))
+            return y
+
+        monkeypatch.setattr(model_mod, "_run", run)
+        model_forward(spec, store, x)
+        assert len(outputs) == 4 and not any(alive)  # 3 chunks, then the rest
+
+    # (the op the chunks end before, images per chunk) for T2 at 224 x 224,
+    # by batch and engine threads; None, n when the batch runs whole
+    PREFIX_RULE = {
+        2: {1: (None, 2), 2: (None, 2), 4: (None, 2)},
+        3: {1: ("merge1", 2), 2: ("merge1", 2), 4: (None, 3)},
+        8: {1: ("merge2", 2), 2: ("merge2", 4), 4: ("merge2", 4)},
+        16: {1: ("merge3", 3), 2: ("merge3", 4), 4: ("merge3", 8)},
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("n", list(PREFIX_RULE))
+    def test_prefix_chunk_rule(self, monkeypatch, n, threads):
+        # the widest hidden tensor is 1.53 MiB per image, at stage 1, so
+        # n = 2 fits the 4 MiB budget, n = 3 needs 2 chunks of it and n = 8
+        # needs 4. At n = 8 stage 2 (0.77 MiB per image) is over the budget
+        # too, and at n = 16 (7 chunks) stage 3 (0.38 MiB per image) is.
+        # Floors: one image per thread, and two per thread where the batch
+        # allows two such chunks
+        monkeypatch.setattr(tensor_ops, "_THREADS", threads)
+        ops = plan_and_schema(build_variant("T2"), fused=True)[0].ops
+        end, step = self.PREFIX_RULE[n][threads]
+        k = 0 if end is None else [op.name for op in ops].index(end)
+        assert model_mod._prefix_chunks(ops, n, (224, 224)) == (k, step)
 
     def test_converted_input_is_freed_after_the_stem(self):
         # a float64 input is copied to float32; once the stem has consumed
@@ -607,6 +634,21 @@ class TestPlan:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.1e6
+
+
+def fused_forward_peak(variant: str, n: int, size: int) -> int:
+    """tracemalloc peak of a fused forward of ``n`` images, with the plan
+    built outside the measurement."""
+    spec = build_variant(variant, input_size=size)
+    store, _ = fuse_model(init_params(spec, seed=0), spec)
+    x = np.random.default_rng(0).standard_normal((n, 3, size, size), dtype=np.float32)
+    model_forward(spec, store, x)
+    tracemalloc.start()
+    try:
+        model_forward(spec, store, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def perturbed(store: ParamStore, seed: int) -> ParamStore:

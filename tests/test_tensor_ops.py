@@ -90,51 +90,6 @@ class TestConv2d:
         p = ConvParams(w, b, stride=k)
         assert np.abs(conv2d(x, p) - ref.conv2d_naive(x, p)).max() <= 1e-5
 
-    # (k, stride, padding, groups): one case per conv2d path and two 3x3
-    # taps cases, dense and depthwise
-    OUT_CASES = {"taps": (3, 1, 1, 1), "taps_dw": (3, 1, 1, 6), "k1": (1, 1, 0, 1),
-                 "patchify": (2, 2, 0, 1), "im2col": (3, 2, 1, 1)}
-
-    def out_case(self, rng, case):
-        k, stride, padding, groups = self.OUT_CASES[case]
-        w = rng.standard_normal((6, 6 // groups, k, k)).astype(np.float32)
-        b = rng.standard_normal(6).astype(np.float32)
-        return ConvParams(w, b, stride, padding, groups)
-
-    @pytest.mark.parametrize("armed", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not tensor_ops._split_ready(), reason="the batch split cannot run here"))],
-        ids=["serial", "split"])
-    @pytest.mark.parametrize("case", list(OUT_CASES))
-    def test_out_batch_slice_is_the_fresh_result(self, rng, case, armed):
-        p = self.out_case(rng, case)
-        x = rand_t4(rng, 3, 6, 7, 7)
-        with tensor_ops._split_batches(len(x) if armed else 1):
-            fresh = conv2d(x, p)
-            whole = np.full((5, *fresh.shape[1:]), np.nan, np.float32)
-            got = conv2d(x, p, whole[1:4])
-        assert got.base is whole and got.tobytes() == fresh.tobytes()
-        assert np.isnan(whole[[0, 4]]).all()  # nothing written outside the slice
-        assert np.abs(got - ref.conv2d_naive(x, p)).max() <= 1e-5
-
-    @pytest.mark.parametrize("case", list(OUT_CASES))
-    def test_out_must_be_contiguous_and_match(self, rng, case):
-        # a reshape of a non-contiguous out would be a copy, and the
-        # result would silently go nowhere
-        p = self.out_case(rng, case)
-        x = rand_t4(rng, 2, 6, 7, 7)
-        n, c, h, w = shape = conv2d(x, p).shape
-        bad = {"float64": np.empty(shape, np.float64),
-               "shape": np.empty((n, c, h, w + 1), np.float32),
-               "batch": np.empty((n + 1, c, h, w), np.float32),
-               "strided": np.empty((n, c, h, 2 * w), np.float32)[..., ::2],
-               "fortran": np.empty(shape[::-1], np.float32).T}
-        for name, out in bad.items():
-            assert out.shape == shape or name in ("shape", "batch")
-            with pytest.raises(ShapeError, match="out must be"):
-                conv2d(x, p, out)
-
     def test_channel_mismatch_names_dimension(self, rng):
         x = rand_t4(rng, 1, 5, 4, 4)
         p = ConvParams(np.ones((2, 8, 1, 1), np.float32))
