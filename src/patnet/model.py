@@ -21,14 +21,15 @@ initializes stored tensors: each is asked for through a ``take`` callable,
 in storage order. ``build_plan``'s ``take`` reads the store;
 ``plan_and_schema``'s records a ``ParamDef`` and hands back a zero-stride
 stand-in, and that record is the schema (``iter_param_schema``) that
-initialization, counting, fusion and weight-file validation use. All work
-that depends only on the weights happens in the lowering or once
-per op afterwards: building and validating every ``ConvParams``/``BnParams``,
-the tap-major 3x3 weights and the attention biases. Whether the store is
-fused is decided while lowering, never in the forward. ``model_forward``
-builds the plan on its first call for a store and keeps it on that store,
-so a store's tensors must not be mutated in place after its first forward;
-build a new ``ParamStore`` instead.
+initialization, counting, fusion and weight-file validation use. Work that
+depends only on the weights happens in the lowering or once per op
+afterwards: building and validating every ``ConvParams``/``BnParams``, and
+the attention biases. A plan holds no other copy of the weights: each 3x3
+conv call makes its own tap-major copy (``ConvParams.taps_weight``). Whether
+the store is fused is decided while lowering, never in the forward.
+``model_forward`` builds the plan on its first call for a store and keeps it
+on that store, so a store's tensors must not be mutated in place after its
+first forward; build a new ``ParamStore`` instead.
 """
 
 from __future__ import annotations
@@ -477,18 +478,20 @@ def _keep_freed_heap() -> None:
 # for each of two threads, one core's L2 on the 2-vCPU Xeon this was sized
 # on. A chunk holds at least one image per engine thread, so its kernels
 # still split, and two per thread where the batch allows two such chunks:
-# one image per thread ran 2-4% slower at batch 8. Each chunk costs a
-# pool round trip per kernel, so the stages after the last such MLP run whole.
+# one image per thread ran 2-4% slower at batch 8. Each chunk costs a pool
+# round trip per kernel, so the ops after that MLP's next merge run whole.
 _CHUNK_BYTES = 4 << 20
 
 
 def _prefix_chunks(ops, n: int, hw: tuple[int, int]) -> tuple[int, int]:
     """``(k, step)``: run ``ops[:k]`` over chunks of ``step`` images of an
     ``n``-image batch at extent ``hw``, then the rest over the whole batch.
-    ``ops[k]`` is the first ``Stem`` after the last MLP whose float32 hidden
-    tensor for the whole batch exceeds ``_CHUNK_BYTES`` (``k`` is
-    ``len(ops)`` when no stem follows it). ``(0, n)`` when nothing needs
-    chunks or one chunk would hold the whole batch."""
+    ``ops[k - 1]`` is the first ``Stem`` after the last MLP whose float32
+    hidden tensor for the whole batch exceeds ``_CHUNK_BYTES``, so the
+    chunks run that merge too and are gathered at its output, a quarter of
+    the extent at twice the channels (``k`` is ``len(ops)`` when no stem
+    follows it). ``(0, n)`` when nothing needs chunks or one chunk would
+    hold the whole batch."""
     h, w = hw
     last, widest = -1, 0
     for i, op in enumerate(ops):
@@ -504,7 +507,7 @@ def _prefix_chunks(ops, n: int, hw: tuple[int, int]) -> tuple[int, int]:
     step = max(-(-n // chunks), T._THREADS, min(2 * T._THREADS, -(-n // 2)))
     if step >= n:
         return 0, n
-    return next((i for i in range(last, len(ops)) if isinstance(ops[i], Stem)),
+    return next((i + 1 for i in range(last, len(ops)) if isinstance(ops[i], Stem)),
                 len(ops)), step
 
 
@@ -530,10 +533,11 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     Each op pops its input from the runner (``_run``), so an activation is
     freed once the op that consumes it is done with it, unless it is the
     shortcut of a later residual add. Where an MLP's hidden tensor for the
-    whole batch would exceed ``_CHUNK_BYTES``, the ops up to the merge after
-    the last such MLP run over image chunks, gathered into one buffer before
-    the rest runs over the whole batch (``_prefix_chunks``). A batch of two
-    or more runs with its kernels split across the engine's threads
+    whole batch would exceed ``_CHUNK_BYTES``, the ops up to and including
+    the merge after the last such MLP run over image chunks, gathered into
+    one buffer at that merge's output before the rest runs over the whole
+    batch (``_prefix_chunks``). A batch of two or more runs with its
+    kernels split across the engine's threads
     (``tensor_ops._split_batches``); the logits are bitwise those of a
     serial forward, whatever chunks the images run in. Each image's row is
     bitwise its batch-1 logits where numpy runs a stacked ``(n, 1, k) @

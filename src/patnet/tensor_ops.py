@@ -43,7 +43,7 @@ import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,11 +106,12 @@ class ConvParams:
     def kw(self) -> int:
         return self.weight.shape[3]
 
-    @cached_property
+    @property
     def taps_weight(self) -> np.ndarray:
         """3x3 weight in the (groups, 9 * out / groups, in / groups) tap-major
-        layout of ``_conv3x3_taps``; one copy, made on first use, so
-        ``weight`` must not be changed in place afterwards."""
+        layout of ``_conv3x3_taps``: a new copy on every access, which
+        ``conv2d`` makes once per call, so nothing keeps a second copy of
+        ``weight`` between calls."""
         g = self.groups
         og, cg = self.out_ch // g, self.weight.shape[1]
         taps = self.weight.reshape(g, og, cg, 9).transpose(0, 3, 1, 2)
@@ -274,20 +275,30 @@ def batch_norm_infer(x: np.ndarray, p: BnParams,
     scale = (p.gamma / np.sqrt(p.running_var + p.eps)).astype(x.dtype, copy=False)
     shift = (p.beta - p.running_mean * scale).astype(x.dtype, copy=False)
     scale, shift = scale.reshape(1, -1, 1, 1), shift.reshape(1, -1, 1, 1)
-    out = _output_like(x, out)
 
-    def part(lo, hi):
-        np.multiply(x[lo:hi], scale, out=out[lo:hi])
-        out[lo:hi] += shift
+    def part(x, out):
+        np.multiply(x, scale, out=out)
+        out += shift
 
-    _over_batch(part, len(x))
+    return _elementwise(part, x, out)
+
+
+def _elementwise(fn, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``fn(x, out)`` over batch slices, into ``out`` (checked to match ``x``
+    in shape and dtype, and which may be ``x``) or a new array like ``x``;
+    0-d input, a numpy scalar too, runs as a 1-element view."""
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != x.dtype:
+        raise ShapeError(f"out {out.shape} {out.dtype} does not match "
+                         f"input {x.shape} {x.dtype}")
+    x1, o1 = np.atleast_1d(x, out)
+    _over_batch(lambda lo, hi: fn(x1[lo:hi], o1[lo:hi]), len(x1))
     return out
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = _output_like(x, out)
-    _over_batch(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), len(x))
-    return out
+    return _elementwise(lambda x, out: np.maximum(x, 0, out=out), x, out)
 
 
 # Abramowitz & Stegun 7.1.26: erfc(z) = t * P(t) * exp(-z^2) for z >= 0 with
@@ -312,9 +323,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     array. In float32 the result is within 1e-6 of the exact function, and
     gelu(0) == 0 exactly.
     """
-    out = _output_like(x, out)
-    _over_batch(lambda lo, hi: _gelu_into(x[lo:hi], out[lo:hi]), len(x))
-    return out
+    return _elementwise(_gelu_into, x, out)
 
 
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
@@ -371,17 +380,6 @@ def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nd
     if kind == "gelu":
         return gelu(x, out=out)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
-
-
-def _output_like(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``out``, checked to match ``x`` in shape and dtype, or a new array
-    like ``x``."""
-    if out is None:
-        return np.empty_like(x)
-    if out.shape != x.shape or out.dtype != x.dtype:
-        raise ShapeError(f"out {out.shape} {out.dtype} does not match "
-                         f"input {x.shape} {x.dtype}")
-    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

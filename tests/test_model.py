@@ -519,11 +519,10 @@ class TestPlan:
         assert by_stage[2:] == [[8] * 6, [8] * 4]
 
     def test_chunked_forward_holds_one_chunk_of_hidden_tensor(self):
-        # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 over 4-image
-        # chunks. It peaks at 15.39 MiB in conv1 of a stage-1 MLP of the
-        # second chunk, where the first chunk's 128-channel stage-2 output
-        # (8 images once gathered) and the chunk's 64-channel shortcut, MLP
-        # input and 128-channel hidden tensor are live. The bound is that of
+        # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 and merge2
+        # over 4-image chunks and peaks at 13.88 MiB (15.41 MiB when the
+        # chunks ended before merge2), which a test below bounds tightly.
+        # The bound here is that of
         # chunking only the MLPs, by ``step`` images each (16.87 MiB with
         # 2-image chunks): the shortcut and the MLP input of the whole batch,
         # and one chunk's hidden tensor and 65-channel second conv output.
@@ -534,13 +533,28 @@ class TestPlan:
 
     def test_a_larger_batch_runs_more_chunks_not_larger_ones(self, monkeypatch):
         # with two engine threads, T2 fused at batch 16 and 224 x 224 runs
-        # stages 1 to 3 over four 4-image chunks and peaks at 15.41 MiB, as
-        # at batch 8, under the batch-8 bound of the test above (31.46 MiB
+        # stages 1 to 3 and merge3 over four 4-image chunks and peaks at
+        # 13.88 MiB, as at batch 8, under the batch-8 bound of the test
+        # above (15.41 MiB when the chunks ended before merge3, 31.46 MiB
         # when only the MLPs ran over chunks, with the shortcut and the MLP
         # input held for all 16 images)
         monkeypatch.setattr(tensor_ops, "_THREADS", 2)
         live = 4 * 56 * 56 * (2 * 8 * 64 + 2 * (128 + 65))
         assert fused_forward_peak("T2", 16, 224) < live + (1 << 20)
+
+    def test_the_chunked_prefix_is_gathered_after_its_merge(self, monkeypatch):
+        # with two engine threads, T2 fused at batch 8 and 224 x 224 runs
+        # stages 1 and 2 and merge2 over 4-image chunks, so the chunks are
+        # gathered at merge2's 256-channel 14 x 14 output, not at stage 2's
+        # 128-channel 28 x 28 one, twice its bytes. It peaks at 13.88 MiB in
+        # the second chunk's stage-1 MLP, where the gathered buffer and the
+        # chunk's 64-channel shortcut, 128-channel hidden tensor and
+        # 65-channel conv2 output are live (15.41 MiB when the chunks ended
+        # before merge2)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        chunk = 4 * 56 * 56 * 4 * (64 + 128 + 65)
+        gathered = 8 * 256 * 14 * 14 * 4
+        assert fused_forward_peak("T2", 8, 224) < chunk + gathered + (1 << 20)
 
     def test_chunks_lower_the_peak_of_a_batch_of_three(self, monkeypatch):
         # with two engine threads, T2 fused at batch 3 and 224 x 224 runs
@@ -592,7 +606,7 @@ class TestPlan:
         model_forward(spec, store, x)
         assert len(outputs) == 4 and not any(alive)  # 3 chunks, then the rest
 
-    # (the op the chunks end before, images per chunk) for T2 at 224 x 224,
+    # (the op the chunks end after, images per chunk) for T2 at 224 x 224,
     # by batch and engine threads; None, n when the batch runs whole
     PREFIX_RULE = {
         2: {1: (None, 2), 2: (None, 2), 4: (None, 2)},
@@ -613,8 +627,26 @@ class TestPlan:
         monkeypatch.setattr(tensor_ops, "_THREADS", threads)
         ops = plan_and_schema(build_variant("T2"), fused=True)[0].ops
         end, step = self.PREFIX_RULE[n][threads]
-        k = 0 if end is None else [op.name for op in ops].index(end)
+        k = 0 if end is None else [op.name for op in ops].index(end) + 1
         assert model_mod._prefix_chunks(ops, n, (224, 224)) == (k, step)
+
+    @pytest.mark.parametrize("variant", ["T0", "T2"])
+    def test_a_plan_keeps_no_copy_of_its_weights(self, variant):
+        # after its first forward a plan holds references to the store's
+        # tensors and the attention biases it made, and each 3x3 conv call
+        # makes its own tap-major weights: 43 KiB for T0 and 26 KiB for T2
+        # stay allocated, against 0.84 and 3.21 MiB when every plan kept a
+        # tap-major copy of each 3x3 weight
+        spec = build_variant(variant, input_size=64)
+        store, _ = fuse_model(init_params(spec, seed=0), spec)
+        x = np.random.default_rng(0).standard_normal((2, 3, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            model_forward(spec, store, x)  # the output is freed at once
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert store.plan is not None and kept < 256 << 10
 
     def test_converted_input_is_freed_after_the_stem(self):
         # a float64 input is copied to float32; once the stem has consumed

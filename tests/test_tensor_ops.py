@@ -224,6 +224,23 @@ class TestInPlace:
         assert got is y and got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [k for k in KERNELS if k != "batch_norm"])
+    def test_zero_d_input_runs_as_one_element(self, kernel, dtype):
+        # a 0-d array or a numpy scalar, with or without ``out``, gives the
+        # bits of the 1-element call and keeps its dtype
+        fn = self.KERNELS[kernel]
+        for v in (-40.0, -1.5, -0.0, 0.7, 3.0):
+            one = fn(np.array([v], dtype), None)
+            for x in (np.array(v, dtype), dtype(v)):
+                y = fn(x, None)
+                assert y.shape == () and y.dtype == dtype
+                assert y.tobytes() == one.tobytes()
+                out = np.empty((), dtype)
+                assert fn(x, out) is out and out.tobytes() == one.tobytes()
+            a = np.array(v, dtype)
+            assert fn(a, a) is a and a.tobytes() == one.tobytes()
+
     def test_out_must_match_the_input(self):
         x = np.ones((2, 6, 3, 3), np.float32)
         for out in (np.empty((2, 6, 3, 4), np.float32), np.empty(x.shape, np.float64)):
