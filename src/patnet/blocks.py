@@ -209,7 +209,9 @@ class PatSfParams:
 
     @cached_property
     def position_bias(self) -> np.ndarray:
-        """``attention_bias`` of these parameters, computed on first use."""
+        """``attention_bias`` of these parameters, computed on first use:
+        ``model.build_plan`` makes it while building the plan, so no forward
+        allocates it."""
         return attention_bias(self)
 
 

@@ -18,15 +18,16 @@ stable name. Every mixer is one ``Mixer`` op, a partial block from
 ``blocks``; the dense and depthwise study arms run as partial convs over
 every channel. The lowering is the one place that names, shapes and
 initializes stored tensors: each is asked for through a ``take`` callable,
-in storage order. ``build_plan``'s ``take`` reads the store;
-``plan_and_schema``'s records a ``ParamDef`` and hands back a zero-stride
-stand-in, and that record is the schema (``iter_param_schema``) that
-initialization, counting, fusion and weight-file validation use. Work that
-depends only on the weights happens in the lowering or once per op
-afterwards: building and validating every ``ConvParams``/``BnParams``, and
-the attention biases. A plan holds no other copy of the weights: each 3x3
-conv call makes its own tap-major copy (``ConvParams.taps_weight``). Whether
-the store is fused is decided while lowering, never in the forward.
+in storage order. ``build_plan``'s ``take`` reads the store, checking each
+tensor's presence and shape; ``plan_and_schema``'s records a ``ParamDef``
+and hands back a zero-stride stand-in, and that record is the schema
+(``iter_param_schema``) that initialization, counting, fusion and
+weight-file validation use. Work that depends only on the weights happens
+in the lowering or, in ``build_plan``, once per op afterwards: building and
+validating every ``ConvParams``/``BnParams``, and the attention biases. A
+plan holds no other copy of the weights: each 3x3 conv call makes its own
+tap-major copy (``ConvParams.taps_weight``). Whether the store is fused is
+decided while lowering, never in the forward.
 ``model_forward`` builds the plan on its first call for a store and keeps it
 on that store, so a store's tensors must not be mutated in place after its
 first forward; build a new ``ParamStore`` instead.
@@ -394,9 +395,27 @@ def _lower(spec: ModelSpec, take, fused: bool) -> Plan:
 
 
 def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
-    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``."""
+    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``.
+
+    Each tensor the lowering takes must be in ``store`` with the shape it
+    asks for; the first that is missing or of another shape raises
+    ``ShapeError``, naming it, before any kernel runs. The plan makes every
+    ``pat_sf`` position bias now, so a forward allocates nothing that
+    outlives it."""
     tensors = store.tensors
-    return _lower(spec, lambda name, shape, init, fan_in: tensors[name], store.fused)
+
+    def take(name, shape, init, fan_in):
+        t = tensors.get(name)
+        if t is None or t.shape != shape:
+            got = "is missing" if t is None else f"has shape {t.shape}"
+            raise ShapeError(f"tensor {name!r} {got}; {spec.label} expects shape {shape}")
+        return t
+
+    plan = _lower(spec, take, store.fused)
+    for op in plan.ops:
+        if isinstance(op, Mixer) and op.forward == "pat_sf_forward" and op.split.c_u:
+            op.params.position_bias  # cached on the params, made here once
+    return plan
 
 
 @lru_cache(maxsize=None)
@@ -513,15 +532,13 @@ def _prefix_chunks(ops, n: int, hw: tuple[int, int]) -> tuple[int, int]:
 
 def _run_chunks(ops, x: np.ndarray, step: int) -> np.ndarray:
     """``ops`` over contiguous chunks of ``step`` images of ``x``, each
-    converted to float32 on its own, gathered into one output."""
-    out = None
-    for lo in range(0, len(x), step):
-        part = _run(ops, [np.ascontiguousarray(x[lo:lo + step], dtype=np.float32)])
-        if out is None:
-            out = np.empty((len(x), *part.shape[1:]), part.dtype)
-        out[lo:lo + step] = part
-        del part  # not alive while the next chunk runs
-    return out
+    converted to float32 on its own. The outputs are gathered by one
+    concatenate after the last chunk returns, so while a chunk runs only
+    the outputs of the chunks before it are live, not a whole-batch buffer,
+    and none outlives the gather."""
+    chunks = [_run(ops, [np.ascontiguousarray(x[lo:lo + step], dtype=np.float32)])
+              for lo in range(0, len(x), step)]
+    return np.concatenate(chunks)
 
 
 def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarray:
@@ -534,9 +551,11 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     freed once the op that consumes it is done with it, unless it is the
     shortcut of a later residual add. Where an MLP's hidden tensor for the
     whole batch would exceed ``_CHUNK_BYTES``, the ops up to and including
-    the merge after the last such MLP run over image chunks, gathered into
-    one buffer at that merge's output before the rest runs over the whole
-    batch (``_prefix_chunks``). A batch of two or more runs with its
+    the merge after the last such MLP run over image chunks, whose merge
+    outputs are concatenated once the last chunk is done, before the rest
+    runs over the whole batch (``_prefix_chunks``, ``_run_chunks``). Every
+    buffer a forward allocates, the output aside, is freed by its end: the
+    plan made what outlives it. A batch of two or more runs with its
     kernels split across the engine's threads
     (``tensor_ops._split_batches``); the logits are bitwise those of a
     serial forward, whatever chunks the images run in. Each image's row is

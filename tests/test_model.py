@@ -15,6 +15,7 @@ from patnet import tensor_ops
 from patnet.config import (
     ABLATION_MODES,
     HEAD_DIM,
+    NUM_CLASSES,
     VARIANT_TABLE,
     ModelSpec,
     build_ablation,
@@ -164,6 +165,20 @@ class TestModelForward:
         assert y1.shape == (2, 1000)
         assert np.isfinite(y1).all()
         assert np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("variant", ["T0", "T2"])
+    def test_an_empty_batch_gives_empty_logits(self, monkeypatch, variant, fused,
+                                               chunk_bytes):
+        spec = build_variant(variant, input_size=64)
+        store = init_params(spec, seed=0)
+        if fused:
+            store, _ = fuse_model(store, spec)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(model_mod, "_CHUNK_BYTES", chunk_bytes)
+        y = model_forward(spec, store, np.zeros((0, 3, 64, 64), np.float32))
+        assert y.shape == (0, NUM_CLASSES) and y.dtype == np.float32
 
     def test_wrong_channel_count_rejected(self, rng):
         spec = tiny_spec()
@@ -384,6 +399,34 @@ class TestPlan:
         assert model_forward(spec, other, x).tobytes() == y1.tobytes()
         assert len(builds) == 2 and other.plan is not plan
 
+    def test_the_plan_makes_every_position_bias_before_the_forward(self, monkeypatch):
+        # the biases outlive the forward, so they are made with the plan, not
+        # among the forward's transient buffers; a stand-in plan makes none
+        biases, at_first_conv = [], []
+        real_bias, real_conv = blocks.attention_bias, tensor_ops.conv2d
+
+        def conv2d(x, p):
+            if not at_first_conv:
+                at_first_conv.append(len(biases))
+            return real_conv(x, p)
+
+        monkeypatch.setattr(blocks, "attention_bias",
+                            lambda p: biases.append(p) or real_bias(p))
+        monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
+        for variant in ("T0", "T2"):
+            spec = build_variant(variant, input_size=64)
+            plan_and_schema(spec, fused=False)
+            plan_and_schema(spec, fused=True)
+            assert biases == [], variant
+            store = init_params(spec, seed=0)
+            model_forward(spec, store, np.zeros((1, 3, 64, 64), np.float32))
+            params = [op.params for op in store.plan.ops
+                      if isinstance(op, Mixer) and op.forward == "pat_sf_forward"]
+            assert len(params) == 4 and at_first_conv == [4], variant
+            assert [id(p) for p in biases] == [id(p) for p in params], variant
+            biases.clear()
+            at_first_conv.clear()
+
     @pytest.mark.parametrize("fused", [False, True])
     def test_kernel_wrappers_bound_after_build_see_every_call(self, rng, monkeypatch,
                                                                fused):
@@ -412,6 +455,28 @@ class TestPlan:
         # convs and, unless merged into the second, the gate-map conv; one
         # activation per MLP and one in the head
         assert calls == {"conv2d": 4 + 4 * (3 if fused else 4), "activation": 4 + 1}
+
+    @pytest.mark.parametrize("case", ["missing", "other_variant", "head_shape"])
+    def test_a_store_that_does_not_match_its_spec_fails_before_any_kernel(
+            self, monkeypatch, case):
+        spec = build_variant("T0", input_size=64)
+        store = init_params(spec, seed=0)
+        if case == "missing":
+            del store.tensors["stage2.block1.mlp.bn.var"]
+            message = r"'stage2\.block1\.mlp\.bn\.var' is missing; T0 expects shape \(128,\)"
+        elif case == "other_variant":  # a T0 store under the T1 spec
+            spec = build_variant("T1", input_size=64)
+            message = (r"'embed\.conv\.weight' has shape \(32, 3, 4, 4\); "
+                       r"T1 expects shape \(48, 3, 4, 4\)")
+        else:
+            store.tensors["head.fc.weight"] = np.zeros((NUM_CLASSES, 7), np.float32)
+            message = (r"'head\.fc\.weight' has shape \(1000, 7\); "
+                       r"T0 expects shape \(1000, 1280\)")
+        kernels = []
+        monkeypatch.setattr(tensor_ops, "conv2d", lambda *a: kernels.append(a))
+        with pytest.raises(ShapeError, match=message):
+            model_forward(spec, store, np.zeros((1, 3, 64, 64), np.float32))
+        assert kernels == [] and store.plan is None
 
     def test_residual_never_writes_into_the_block_input(self, rng):
         # a pconv mixer without conv channels copies its whole input, and the
@@ -520,8 +585,9 @@ class TestPlan:
 
     def test_chunked_forward_holds_one_chunk_of_hidden_tensor(self):
         # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 and merge2
-        # over 4-image chunks and peaks at 13.88 MiB (15.41 MiB when the
-        # chunks ended before merge2), which a test below bounds tightly.
+        # over 4-image chunks and peaks at 13.12 MiB (13.88 MiB with the
+        # gathered buffer allocated after the first chunk, 15.41 MiB when
+        # the chunks ended before merge2), which a test below bounds tightly.
         # The bound here is that of
         # chunking only the MLPs, by ``step`` images each (16.87 MiB with
         # 2-image chunks): the shortcut and the MLP input of the whole batch,
@@ -534,8 +600,10 @@ class TestPlan:
     def test_a_larger_batch_runs_more_chunks_not_larger_ones(self, monkeypatch):
         # with two engine threads, T2 fused at batch 16 and 224 x 224 runs
         # stages 1 to 3 and merge3 over four 4-image chunks and peaks at
-        # 13.88 MiB, as at batch 8, under the batch-8 bound of the test
-        # above (15.41 MiB when the chunks ended before merge3, 31.46 MiB
+        # 13.50 MiB, one chunk's working set and three finished merge3
+        # outputs, under the batch-8 bound of the test above (13.88 MiB with
+        # the gathered buffer allocated after the first chunk, 15.41 MiB when
+        # the chunks ended before merge3, 31.46 MiB
         # when only the MLPs ran over chunks, with the shortcut and the MLP
         # input held for all 16 images)
         monkeypatch.setattr(tensor_ops, "_THREADS", 2)
@@ -546,15 +614,16 @@ class TestPlan:
         # with two engine threads, T2 fused at batch 8 and 224 x 224 runs
         # stages 1 and 2 and merge2 over 4-image chunks, so the chunks are
         # gathered at merge2's 256-channel 14 x 14 output, not at stage 2's
-        # 128-channel 28 x 28 one, twice its bytes. It peaks at 13.88 MiB in
-        # the second chunk's stage-1 MLP, where the gathered buffer and the
-        # chunk's 64-channel shortcut, 128-channel hidden tensor and
-        # 65-channel conv2 output are live (15.41 MiB when the chunks ended
-        # before merge2)
+        # 128-channel 28 x 28 one, twice its bytes, and only after the last
+        # chunk. It peaks at 13.12 MiB in the second chunk's stage-1 MLP,
+        # where the first chunk's merge2 output and the chunk's 64-channel
+        # shortcut, 128-channel hidden tensor and 65-channel conv2 output
+        # are live (13.88 MiB with the whole gathered buffer allocated after
+        # the first chunk, 15.41 MiB when the chunks ended before merge2)
         monkeypatch.setattr(tensor_ops, "_THREADS", 2)
         chunk = 4 * 56 * 56 * 4 * (64 + 128 + 65)
-        gathered = 8 * 256 * 14 * 14 * 4
-        assert fused_forward_peak("T2", 8, 224) < chunk + gathered + (1 << 20)
+        finished = 4 * 256 * 14 * 14 * 4
+        assert fused_forward_peak("T2", 8, 224) < chunk + finished + (1 << 19)
 
     def test_chunks_lower_the_peak_of_a_batch_of_three(self, monkeypatch):
         # with two engine threads, T2 fused at batch 3 and 224 x 224 runs
@@ -586,9 +655,11 @@ class TestPlan:
         assert model_mod._prefix_chunks(ops, len(x), (32, 32)) == (len(ops), 2 * threads)
         assert model_forward(spec, store, x).tobytes() == whole.tobytes()
 
-    def test_a_chunk_output_is_freed_before_the_next_chunk_runs(self, rng, monkeypatch):
-        # once copied into the gathered buffer, nothing names a chunk's
-        # output, so it does not add to the next chunk's peak
+    def test_chunk_outputs_live_until_their_one_gather(self, rng, monkeypatch):
+        # the chunk outputs are concatenated once, after the last chunk, so
+        # while a chunk runs only the outputs of the chunks before it are
+        # live, and none is left once the gathered output goes on to the
+        # rest of the plan
         spec = tiny_spec()
         store = init_params(spec, seed=5)
         x = rand_t4(rng, 4 * tensor_ops._THREADS + 1, 3, 32, 32)
@@ -597,14 +668,18 @@ class TestPlan:
         outputs, alive, real_run = [], [], model_mod._run
 
         def run(ops, held):
-            alive.extend(ref() is not None for ref in outputs)
+            alive.append([ref() is not None for ref in outputs])
             y = real_run(ops, held)
             outputs.append(weakref.ref(y))
             return y
 
         monkeypatch.setattr(model_mod, "_run", run)
-        model_forward(spec, store, x)
-        assert len(outputs) == 4 and not any(alive)  # 3 chunks, then the rest
+        y = model_forward(spec, store, x)
+        # 3 chunks, then the rest of the plan, empty here, on the gathered
+        # output, which is the logits
+        assert alive == [[], [True], [True, True], [False] * 3]
+        assert [ref() is not None for ref in outputs] == [False] * 3 + [True]
+        assert outputs[3]() is y and y.shape == (len(x), NUM_CLASSES)
 
     # (the op the chunks end after, images per chunk) for T2 at 224 x 224,
     # by batch and engine threads; None, n when the batch runs whole
