@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .config import ModelSpec
-from .model import Mlp, ParamStore, Stem, build_plan, iter_param_schema
+from .model import Mlp, ParamStore, Stem, iter_param_schema, lower_store
 from .tensor_ops import BnParams, ConvParams, ShapeError
 
 PROBE_SEED = 0x5EED
@@ -114,7 +114,8 @@ def _merge(rng, report: FusionReport, block: str, conv2: ConvParams,
 def fuse_model(store: ParamStore, spec: ModelSpec) -> tuple[ParamStore, FusionReport]:
     """Fold every conv+BN pair and merge every spatial-gate map conv.
 
-    The store is lowered once; each embed or merge ``Stem`` and each ``Mlp``
+    The store is lowered once, with ``build_plan``'s shape checks but
+    without its attention biases; each embed or merge ``Stem`` and each ``Mlp``
     of the plan is rewritten from its resolved parameters, in plan order, and
     the new convs are stored under their op's names in the fused schema's
     order. Raises ``FusionError`` when a rewrite's probe deviation is out of
@@ -129,7 +130,7 @@ def fuse_model(store: ParamStore, spec: ModelSpec) -> tuple[ParamStore, FusionRe
     def put(name: str, conv: ConvParams):
         out[f"{name}.weight"], out[f"{name}.bias"] = conv.weight, conv.bias
 
-    for op in build_plan(spec, store).ops:
+    for op in lower_store(spec, store).ops:
         if isinstance(op, Stem):
             put(f"{op.name}.conv", _fold(rng, report, f"{op.name}.conv", op.conv, op.bn))
         elif isinstance(op, Mlp):

@@ -402,6 +402,16 @@ def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
     ``ShapeError``, naming it, before any kernel runs. The plan makes every
     ``pat_sf`` position bias now, so a forward allocates nothing that
     outlives it."""
+    plan = lower_store(spec, store)
+    for op in plan.ops:
+        if isinstance(op, Mixer) and op.forward == "pat_sf_forward" and op.split.c_u:
+            op.params.position_bias  # cached on the params, made here once
+    return plan
+
+
+def lower_store(spec: ModelSpec, store: ParamStore) -> Plan:
+    """``build_plan`` without the position biases, for a caller that reads
+    the ops' parameters and runs no forward (``fusion.fuse_model``)."""
     tensors = store.tensors
 
     def take(name, shape, init, fan_in):
@@ -411,11 +421,7 @@ def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
             raise ShapeError(f"tensor {name!r} {got}; {spec.label} expects shape {shape}")
         return t
 
-    plan = _lower(spec, take, store.fused)
-    for op in plan.ops:
-        if isinstance(op, Mixer) and op.forward == "pat_sf_forward" and op.split.c_u:
-            op.params.position_bias  # cached on the params, made here once
-    return plan
+    return _lower(spec, take, store.fused)
 
 
 @lru_cache(maxsize=None)

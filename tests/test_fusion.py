@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from patnet import fusion
+from patnet import blocks, fusion, tensor_ops
+from patnet.config import build_variant
 from patnet.fusion import FusionError, fold_bn, fuse_model, merge_patsp
 from patnet.model import ParamStore, init_params, model_forward
 from patnet.tensor_ops import BnParams, ConvParams, ShapeError, batch_norm_infer, conv2d
@@ -129,6 +130,26 @@ class TestFuseModel:
         spec, _, fused, _ = fused_pair
         with pytest.raises(ValueError, match="already fused"):
             fuse_model(fused, spec)
+
+    def test_makes_no_attention_bias(self, monkeypatch):
+        # fusing reads the lowered ops' weights and runs no forward
+        calls = []
+        real = blocks.attention_bias
+        monkeypatch.setattr(blocks, "attention_bias", lambda p: calls.append(p) or real(p))
+        spec = build_variant("T2")
+        fuse_model(init_params(spec, seed=0), spec)
+        assert calls == []
+
+    def test_mismatched_store_raises_before_any_kernel(self, monkeypatch):
+        spec = tiny_spec()
+        store = init_params(spec, seed=21)
+        name = "stage1.block0.mlp.conv1.weight"
+        bad = with_tensor(store, name, store[name][:, :-1])
+        calls = []
+        monkeypatch.setattr(tensor_ops, "conv2d", lambda *a: calls.append(a))
+        with pytest.raises(ShapeError, match=f"tensor '{name}' has shape"):
+            fuse_model(bad, spec)
+        assert calls == []
 
     def test_source_store_untouched(self, fused_pair):
         spec, store, _, _ = fused_pair
