@@ -16,7 +16,7 @@ channel, which returns the conv's own output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,7 +177,8 @@ class PatSfParams:
 
     ``rpe_table`` is (heads, (2H-1)*(2W-1)), indexed by the flattened
     relative offset (dy + H - 1, dx + W - 1) for the extent (H, W) given in
-    ``rpe_hw``.
+    ``rpe_hw``. The (heads, L, L) bias gathered from it is not kept here:
+    ``pat_sf_forward`` makes it on every call (``attention_bias``).
     """
 
     conv3: ConvParams | None
@@ -207,27 +208,24 @@ class PatSfParams:
     def head_dim(self) -> int:
         return self.wq.shape[0] // self.heads
 
-    @cached_property
-    def position_bias(self) -> np.ndarray:
-        """``attention_bias`` of these parameters, computed on first use:
-        ``model.build_plan`` makes it while building the plan, so no forward
-        allocates it."""
-        return attention_bias(self)
 
-
+@lru_cache(maxsize=32)
 def relative_index_grid(h: int, w: int) -> np.ndarray:
     """(h*w, h*w) matrix of flattened relative-offset bin indices for
-    row-major token order."""
+    row-major token order. Cached per extent and read-only, so every
+    forward at one extent shares one grid."""
     ys, xs = np.divmod(np.arange(h * w), w)
     dy = ys[:, None] - ys[None, :] + (h - 1)
     dx = xs[:, None] - xs[None, :] + (w - 1)
-    return dy * (2 * w - 1) + dx
+    idx = dy * (2 * w - 1) + dx
+    idx.flags.writeable = False
+    return idx
 
 
 def attention_bias(p: PatSfParams) -> np.ndarray:
-    """(heads, L, L) additive pre-softmax bias from the learned table."""
-    idx = relative_index_grid(*p.rpe_hw)
-    return p.rpe_table[:, idx]
+    """(heads, L, L) additive pre-softmax bias from the learned table, made
+    by ``pat_sf_forward`` on every call and freed when it returns."""
+    return np.take(p.rpe_table, relative_index_grid(*p.rpe_hw), axis=1)
 
 
 def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray:
@@ -242,7 +240,7 @@ def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray
         return _partial(x, s, p.conv3, None, dt)
     weights = [m.astype(dt, copy=False)
                for m in (p.wq.T, p.bq, p.wk.T, p.bk, p.wv.T, p.bv, p.wo.T, p.bo)]
-    bias = p.position_bias.astype(dt, copy=False)
+    bias = attention_bias(p).astype(dt, copy=False)
     return _partial(x, s, p.conv3, lambda lo, hi, out: _attend(
         x_u[lo:hi], weights, bias, p.heads, out), dt)
 

@@ -22,12 +22,12 @@ in storage order. ``build_plan``'s ``take`` reads the store, checking each
 tensor's presence and shape; ``plan_and_schema``'s records a ``ParamDef``
 and hands back a zero-stride stand-in, and that record is the schema
 (``iter_param_schema``) that initialization, counting, fusion and
-weight-file validation use. Work that depends only on the weights happens
-in the lowering or, in ``build_plan``, once per op afterwards: building and
-validating every ``ConvParams``/``BnParams``, and the attention biases. A
-plan holds no other copy of the weights: each 3x3 conv call makes its own
-tap-major copy (``ConvParams.taps_weight``). Whether the store is fused is
-decided while lowering, never in the forward.
+weight-file validation use. Building and validating every
+``ConvParams``/``BnParams`` happens in the lowering. A plan holds only
+references to store tensors: each 3x3 conv call makes its own tap-major
+copy (``ConvParams.taps_weight``), and each ``pat_sf`` call its position
+bias (``blocks.attention_bias``). Whether the store is fused is decided
+while lowering, never in the forward.
 ``model_forward`` builds the plan on its first call for a store and keeps it
 on that store, so a store's tensors must not be mutated in place after its
 first forward; build a new ``ParamStore`` instead.
@@ -395,23 +395,12 @@ def _lower(spec: ModelSpec, take, fused: bool) -> Plan:
 
 
 def build_plan(spec: ModelSpec, store: ParamStore) -> Plan:
-    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``.
+    """Lower ``spec`` over the tensors of ``store`` into a ``Plan``, which
+    holds only references to them.
 
     Each tensor the lowering takes must be in ``store`` with the shape it
     asks for; the first that is missing or of another shape raises
-    ``ShapeError``, naming it, before any kernel runs. The plan makes every
-    ``pat_sf`` position bias now, so a forward allocates nothing that
-    outlives it."""
-    plan = lower_store(spec, store)
-    for op in plan.ops:
-        if isinstance(op, Mixer) and op.forward == "pat_sf_forward" and op.split.c_u:
-            op.params.position_bias  # cached on the params, made here once
-    return plan
-
-
-def lower_store(spec: ModelSpec, store: ParamStore) -> Plan:
-    """``build_plan`` without the position biases, for a caller that reads
-    the ops' parameters and runs no forward (``fusion.fuse_model``)."""
+    ``ShapeError``, naming it, before any kernel runs."""
     tensors = store.tensors
 
     def take(name, shape, init, fan_in):
@@ -485,8 +474,9 @@ def _keep_freed_heap() -> None:
     read, are still mapped and unmapped on their own. One arena serves every
     thread, so the batch-split pool threads reuse the same retained heap
     instead of growing an arena of their own (about 9 MB more peak RSS
-    over 20 forwards of T2 at batch 8). Process-wide, so set once per
-    process; a no-op where the C library has no ``mallopt``.
+    over 20 forwards of T2 at batch 8). The ``pat_sf`` position biases that
+    each forward makes are reused from that heap too. Process-wide, so set
+    once per process; a no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -560,9 +550,9 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     the merge after the last such MLP run over image chunks, whose merge
     outputs are concatenated once the last chunk is done, before the rest
     runs over the whole batch (``_prefix_chunks``, ``_run_chunks``). Every
-    buffer a forward allocates, the output aside, is freed by its end: the
-    plan made what outlives it. A batch of two or more runs with its
-    kernels split across the engine's threads
+    buffer a forward allocates, the output and the cached ``pat_sf`` index
+    grid aside, is freed by its end, the position biases too. A batch of two
+    or more runs with its kernels split across the engine's threads
     (``tensor_ops._split_batches``); the logits are bitwise those of a
     serial forward, whatever chunks the images run in. Each image's row is
     bitwise its batch-1 logits where numpy runs a stacked ``(n, 1, k) @

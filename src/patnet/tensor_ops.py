@@ -390,11 +390,11 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(2, 3))
 
 
-def channel_stats(x: np.ndarray, eps: float = EPS_STAT) -> tuple[np.ndarray, np.ndarray]:
+def channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Population mean and stabilized standard deviation over the spatial
     positions of every (n, c) slice.
 
-    std is sqrt(var + eps) so constant channels still produce a usable,
+    std is sqrt(var + EPS_STAT) so constant channels still produce a usable,
     strictly positive scale.
     """
     check_tensor4(x, "channel_stats input")
@@ -407,7 +407,7 @@ def channel_stats(x: np.ndarray, eps: float = EPS_STAT) -> tuple[np.ndarray, np.
         x[lo:hi].mean(axis=(2, 3), out=mean[lo:hi])
         d = x[lo:hi] - mean[lo:hi, :, None, None]
         np.square(d, out=d)
-        np.sqrt(d.sum(axis=(2, 3)) / hw + eps, out=std[lo:hi], dtype=x.dtype)
+        np.sqrt(d.sum(axis=(2, 3)) / hw + EPS_STAT, out=std[lo:hi], dtype=x.dtype)
 
     _over_batch(part, len(x))
     return mean, std

@@ -48,17 +48,20 @@ def make_patch(rng, c_u, conv=None, w_scale=1.0, b2=None):
 
 
 def make_patsf(rng, c_u, heads, hw, conv=None, scale=1.0, zero_rpe=False):
+    """``hw`` is the side of a square extent or an (h, w) pair."""
+    hh, ww = (hw, hw) if isinstance(hw, int) else hw
+
     def mat():
         return (rng.standard_normal((c_u, c_u)) * scale / math.sqrt(c_u)).astype(np.float32)
 
     def vec():
         return (rng.standard_normal(c_u) * scale * 0.2).astype(np.float32)
 
-    bins = (2 * hw - 1) ** 2
+    bins = (2 * hh - 1) * (2 * ww - 1)
     rpe = np.zeros((heads, bins), np.float32) if zero_rpe else \
         (rng.standard_normal((heads, bins)) * 0.3).astype(np.float32)
     return PatSfParams(conv, mat(), vec(), mat(), vec(), mat(), vec(),
-                       mat(), vec(), heads=heads, rpe_table=rpe, rpe_hw=(hw, hw))
+                       mat(), vec(), heads=heads, rpe_table=rpe, rpe_hw=(hh, ww))
 
 
 class TestSplitConcat:
@@ -294,32 +297,45 @@ class TestPatSf:
             got = out[0, cp:].reshape(c_u, hw * hw)[:, t]
             assert np.abs(got - expected).max() <= 1e-5
 
-    def test_matches_flat_oracle(self, rng):
-        c, cp, hw, heads = 16, 4, 4, 2
+    @pytest.mark.parametrize("hh,ww", [(4, 4), (2, 3), (3, 2)])
+    def test_matches_flat_oracle(self, rng, hh, ww):
+        c, cp, heads = 16, 4, 2
         c_u = c - cp
-        x = rand_t4(rng, 1, c, hw, hw)
+        x = rand_t4(rng, 1, c, hh, ww)
         conv = make_conv3(rng, cp)
-        p = make_patsf(rng, c_u, heads=heads, hw=hw, conv=conv)
+        p = make_patsf(rng, c_u, heads=heads, hw=(hh, ww), conv=conv)
         out = pat_sf_forward(x, p, PartialSplit(c, cp))
 
-        # flat per-element recomputation in float64
-        L = hw * hw
+        # flat per-element recomputation in float64; token t sits at row
+        # t // ww, column t % ww, and each pair reads the table bin of its
+        # offset (dy, dx), counted from (-(hh - 1), -(ww - 1))
+        L = hh * ww
         d = c_u // heads
         tokens = x[0, cp:].reshape(c_u, L).T.astype(np.float64)
         q = tokens @ p.wq.T + p.bq
         k = tokens @ p.wk.T + p.bk
         v = tokens @ p.wv.T + p.bv
-        idx = relative_index_grid(hw, hw)
         ctx = np.zeros((L, c_u))
         for h in range(heads):
             sl = slice(h * d, (h + 1) * d)
-            logits = q[:, sl] @ k[:, sl].T / math.sqrt(d) + p.rpe_table[h][idx]
+            logits = q[:, sl] @ k[:, sl].T / math.sqrt(d)
+            for i in range(L):
+                for j in range(L):
+                    dy, dx = i // ww - j // ww, i % ww - j % ww
+                    logits[i, j] += p.rpe_table[h, (dy + hh - 1) * (2 * ww - 1) + dx + ww - 1]
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)
             ctx[:, sl] = attn @ v[:, sl]
-        expected_u = (ctx @ p.wo.T + p.bo).T.reshape(c_u, hw, hw)
+        expected_u = (ctx @ p.wo.T + p.bo).T.reshape(c_u, hh, ww)
         assert np.abs(out[0, cp:] - expected_u).max() <= 1e-5
         assert np.abs(out[0, :cp] - ref.conv2d_naive(x[:, :cp], conv)[0]).max() <= 1e-5
+
+    def test_index_grid_is_cached_and_read_only(self):
+        # every forward at one extent shares one grid, so none may write it
+        idx = relative_index_grid(2, 3)
+        assert relative_index_grid(2, 3) is idx and not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
 
     def test_zero_rpe_is_purely_content_based(self, rng):
         # a zero position table must reproduce bias-free attention exactly
