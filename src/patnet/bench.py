@@ -20,9 +20,7 @@ class BenchReport:
     batch_size: int
     warmup_iters: int
     measured_iters: int
-    engine_workers: int  # threads a batched forward's kernels split across
-    blas_threads_batch1: int | None  # None where OpenBLAS cannot be queried
-    blas_threads_batched: int | None
+    blas_threads: int | None  # None where OpenBLAS cannot be queried
     images_per_sec: float
     mean_latency_ms: float
     p50_latency_ms: float

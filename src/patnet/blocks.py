@@ -23,7 +23,6 @@ import numpy as np
 from .tensor_ops import (
     ConvParams,
     ShapeError,
-    _over_batch,
     _softmax_in_place,
     channel_stats,
     check_tensor4,
@@ -68,23 +67,19 @@ def channel_split(x: np.ndarray, s: PartialSplit) -> tuple[np.ndarray, np.ndarra
 
 def _partial(x: np.ndarray, s: PartialSplit, conv3: ConvParams | None,
              untouched, dtype) -> np.ndarray:
-    """The output of a partial block. On this thread, ``conv3`` runs on the
-    first ``s.c_p`` channels of ``x`` (None passes them through). Then one
-    fresh output, of the result type of that branch and ``dtype``, is filled
-    over batch slices: the conv branch in front, and behind it what
-    ``untouched(lo, hi, out_u)`` writes for the untouched channels of images
-    ``lo:hi``. Without untouched channels the conv branch is the output."""
+    """The output of a partial block. ``conv3`` runs on the first ``s.c_p``
+    channels of ``x`` (None passes them through). Then one fresh output, of
+    the result type of that branch and ``dtype``, is filled: the conv branch
+    in front, and behind it what ``untouched(out_u)`` writes for the
+    untouched channels. Without untouched channels the conv branch is the
+    output."""
     x_p = x[:, : s.c_p]
     y_p = x_p if conv3 is None or s.c_p == 0 else conv2d(x_p, conv3)
     if s.c_u == 0:
         return y_p
     out = np.empty(x.shape, np.result_type(y_p, dtype))
-
-    def part(lo, hi):
-        out[lo:hi, : s.c_p] = y_p[lo:hi]
-        untouched(lo, hi, out[lo:hi, s.c_p :])
-
-    _over_batch(part, len(x))
+    out[:, : s.c_p] = y_p
+    untouched(out[:, s.c_p :])
     return out
 
 
@@ -128,8 +123,8 @@ def pat_ch_forward(x: np.ndarray, p: PatChParams, s: PartialSplit) -> np.ndarray
     if s.c_u == 0:  # nothing is gated, and the block has no gate head
         return _partial(x, s, p.conv3, None, x_u.dtype)
     gate = gaussian_se_gate(x_u, p)[:, :, None, None]
-    return _partial(x, s, p.conv3, lambda lo, hi, out: np.multiply(
-        x_u[lo:hi], gate[lo:hi], out=out), np.result_type(x_u, gate))
+    return _partial(x, s, p.conv3, lambda out: np.multiply(x_u, gate, out=out),
+                    np.result_type(x_u, gate))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +154,8 @@ def pat_sp_forward(x: np.ndarray, p: PatSpParams, s: PartialSplit) -> np.ndarray
 def apply_spatial_gate(x: np.ndarray, a: np.ndarray, s: PartialSplit) -> np.ndarray:
     """Multiply the untouched channels of ``x`` by the (n, 1, h, w) map."""
     x_u = channel_split(x, s)[1]
-    return _partial(x, s, None, lambda lo, hi, out: np.multiply(
-        x_u[lo:hi], a[lo:hi], out=out), np.result_type(x, a))
+    return _partial(x, s, None, lambda out: np.multiply(x_u, a, out=out),
+                    np.result_type(x, a))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +236,8 @@ def pat_sf_forward(x: np.ndarray, p: PatSfParams, s: PartialSplit) -> np.ndarray
     weights = [m.astype(dt, copy=False)
                for m in (p.wq.T, p.bq, p.wk.T, p.bk, p.wv.T, p.bv, p.wo.T, p.bo)]
     bias = attention_bias(p).astype(dt, copy=False)
-    return _partial(x, s, p.conv3, lambda lo, hi, out: _attend(
-        x_u[lo:hi], weights, bias, p.heads, out), dt)
+    return _partial(x, s, p.conv3,
+                    lambda out: _attend(x_u, weights, bias, p.heads, out), dt)
 
 
 # Per-image projection GEMMs of at most this many MACs are not folded over
@@ -291,5 +286,4 @@ def _attend(x_u: np.ndarray, weights: list, bias: np.ndarray, heads: int,
 def pconv_forward(x: np.ndarray, conv3: ConvParams, s: PartialSplit) -> np.ndarray:
     """Partial convolution: conv on the split branch, identity elsewhere."""
     x_u = channel_split(x, s)[1]
-    return _partial(x, s, conv3, lambda lo, hi, out: np.copyto(out, x_u[lo:hi]),
-                    x_u.dtype)
+    return _partial(x, s, conv3, lambda out: np.copyto(out, x_u), x_u.dtype)

@@ -186,9 +186,7 @@ def _cmd_bench(args) -> int:
         print(f"variant          {report.variant}{' (fused)' if args.fused else ''}")
         print(f"batch x iters    {report.batch_size} x {report.measured_iters} "
               f"(+{report.warmup_iters} warmup)")
-        print(f"threads          {report.engine_workers} engine worker(s); BLAS "
-              f"{report.blas_threads_batch1} at batch 1, "
-              f"{report.blas_threads_batched} at batch > 1")
+        print(f"threads          1 engine thread; BLAS {report.blas_threads}")
         print(f"images/sec       {report.images_per_sec:10.2f}")
         print(f"latency ms       mean {report.mean_latency_ms:.2f}  "
               f"p50 {report.p50_latency_ms:.2f}  p95 {report.p95_latency_ms:.2f}")

@@ -52,7 +52,6 @@ BN_EPS = 1e-5
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 
 
 @dataclass
@@ -207,7 +206,7 @@ class Residual(_Op):
 
     def __call__(self, held, skip):
         x = held.pop()
-        T._over_batch(lambda lo, hi: np.add(skip[lo:hi], x[lo:hi], out=x[lo:hi]), len(x))
+        x += skip
         return x
 
 
@@ -468,15 +467,14 @@ def _keep_freed_heap() -> None:
     twice its largest recent block is free, so each forward faults its whole
     working set back in: about 1000 minor page faults, roughly a tenth of a
     T0 batch-1 forward. With these settings blocks up to 16 MB (every
-    buffer of a T2 forward at batch 8, whose largest is the 6.4 MB hidden
-    tensor of a 4-image stage-1 chunk) come from the heap and up to 256 MB
-    of free heap stays mapped; larger blocks, such as a weight file being
-    read, are still mapped and unmapped on their own. One arena serves every
-    thread, so the batch-split pool threads reuse the same retained heap
-    instead of growing an arena of their own (about 9 MB more peak RSS
-    over 20 forwards of T2 at batch 8). The ``pat_sf`` position biases that
-    each forward makes are reused from that heap too. Process-wide, so set
-    once per process; a no-op where the C library has no ``mallopt``.
+    buffer of a T2 forward at batch 8, whose largest are the 3.2 MB hidden
+    tensors of a 2-image stage-1 chunk and of the whole batch's stage 3)
+    come from the heap and up to 256 MB of free heap stays mapped; larger
+    blocks, such as a weight file being read, are still mapped and unmapped
+    on their own. The ``pat_sf``
+    position biases that each forward makes are reused from that heap too.
+    Process-wide, so set once per process; a no-op where the C library has
+    no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -485,16 +483,13 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 16 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 # A batched forward runs its first ops over image chunks while an MLP among
-# them would hold more than this in hidden tensor for the whole batch: 2 MiB
-# for each of two threads, one core's L2 on the 2-vCPU Xeon this was sized
-# on. A chunk holds at least one image per engine thread, so its kernels
-# still split, and two per thread where the batch allows two such chunks:
-# one image per thread ran 2-4% slower at batch 8. Each chunk costs a pool
-# round trip per kernel, so the ops after that MLP's next merge run whole.
+# them would hold more than this in hidden tensor for the whole batch, in
+# as many equal chunks as that tensor holds this budget, rounded up. Each
+# chunk runs every op of the prefix once more, so the ops after that MLP's
+# next merge run whole.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -519,7 +514,7 @@ def _prefix_chunks(ops, n: int, hw: tuple[int, int]) -> tuple[int, int]:
     if not widest:
         return 0, n
     chunks = -(-n * widest // _CHUNK_BYTES)
-    step = max(-(-n // chunks), T._THREADS, min(2 * T._THREADS, -(-n // 2)))
+    step = -(-n // chunks)
     if step >= n:
         return 0, n
     return next((i + 1 for i in range(last, len(ops)) if isinstance(ops[i], Stem)),
@@ -551,13 +546,12 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     outputs are concatenated once the last chunk is done, before the rest
     runs over the whole batch (``_prefix_chunks``, ``_run_chunks``). Every
     buffer a forward allocates, the output and the cached ``pat_sf`` index
-    grid aside, is freed by its end, the position biases too. A batch of two
-    or more runs with its kernels split across the engine's threads
-    (``tensor_ops._split_batches``); the logits are bitwise those of a
-    serial forward, whatever chunks the images run in. Each image's row is
-    bitwise its batch-1 logits where numpy runs a stacked ``(n, 1, k) @
-    (k, m)`` matmul one image at a time and OpenBLAS's SGEMM above 2^20 MACs
-    gives rows whose bits do not depend on the row count
+    grid aside, is freed by its end, the position biases too. Every op runs
+    on the calling thread, which starts no thread of its own; the logits
+    are bitwise the same whatever chunks the images run in. Each image's
+    row is bitwise its batch-1 logits where numpy runs a stacked
+    ``(n, 1, k) @ (k, m)`` matmul one image at a time and OpenBLAS's SGEMM
+    above 2^20 MACs gives rows whose bits do not depend on the row count
     (``blocks._SMALL_GEMM_MACS``); checked with numpy 2.4 and OpenBLAS
     0.3.31 on its SkylakeX kernels.
     """
@@ -575,8 +569,7 @@ def model_forward(spec: ModelSpec, store: ParamStore, x: np.ndarray) -> np.ndarr
     if plan is None or (plan.spec is not spec and plan.spec != spec):
         _keep_freed_heap()
         plan = store.plan = build_plan(spec, store)
-    with T._split_batches(n):
-        k, step = _prefix_chunks(plan.ops, n, (h, w))
-        if not k:
-            return _run(plan.ops, [np.ascontiguousarray(x, dtype=np.float32)])
-        return _run(plan.ops[k:], [_run_chunks(plan.ops[:k], x, step)])
+    k, step = _prefix_chunks(plan.ops, n, (h, w))
+    if not k:
+        return _run(plan.ops, [np.ascontiguousarray(x, dtype=np.float32)])
+    return _run(plan.ops[k:], [_run_chunks(plan.ops[:k], x, step)])

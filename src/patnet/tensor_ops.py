@@ -24,26 +24,14 @@ scratch buffers, so its scratch stays at 512 KiB in float32 however large the
 activation is, and every element goes through the same ufuncs as in one pass
 over the whole tensor.
 
-Inside a batched forward (``model_forward`` arms it through
-``_split_batches``), the convolutions, ReLU, GELU, batch norm and channel
-statistics, and the block and residual code that calls ``_over_batch``, split
-their work into contiguous batch slices run on a pool of one thread per CPU,
-the calling thread taking the last slice, while numpy's OpenBLAS is pinned to
-one thread. Every slice writes its part of an output allocated before the
-split and runs exactly the per-image arithmetic of the whole-batch kernel, so
-results are bitwise identical either way. Only private helpers and raw numpy
-run on the pool threads, never a public function of this package. One lock,
-``_SPLIT_LOCK``, admits one armed forward at a time, and a ``fork`` waits
-for it too, so a child never inherits a held lock or a pinned BLAS.
+Every kernel runs on the calling thread, over the whole batch at once, and
+starts no thread of its own; numpy's OpenBLAS threads the GEMMs at the
+thread count it was started with, which nothing here changes.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import queue
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -167,21 +155,13 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
     out = np.empty((n, p.out_ch, oh, ow), np.result_type(p.weight, x))
     if p.kh == p.kw == 3 and p.stride == 1 and p.padding == 1:
-        weight, adds = p.taps_weight, _tap_adds(h, w)
-        kernel = lambda lo, hi: _conv3x3_taps(x[lo:hi], weight, adds, out[lo:hi])
+        _conv3x3_taps(x, p.taps_weight, _tap_adds(h, w), out)
     elif p.kh == p.kw == p.stride and p.padding == 0 and p.groups == 1:
-        kernel = lambda lo, hi: _conv_patchify(x[lo:hi], p, out[lo:hi])
+        _conv_patchify(x, p, out)
     else:
-        kernel = lambda lo, hi: _conv_im2col(x[lo:hi], p, out[lo:hi])
-    bias = (None if p.bias is None
-            else p.bias.reshape(1, -1, 1, 1).astype(out.dtype, copy=False))
-
-    def part(lo, hi):
-        kernel(lo, hi)
-        if bias is not None:
-            out[lo:hi] += bias
-
-    _over_batch(part, n)
+        _conv_im2col(x, p, out)
+    if p.bias is not None:
+        out += p.bias.reshape(1, -1, 1, 1).astype(out.dtype, copy=False)
     return out
 
 
@@ -286,16 +266,15 @@ def batch_norm_infer(x: np.ndarray, p: BnParams,
 
 
 def _elementwise(fn, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``fn(x, out)`` over batch slices, into ``out`` (checked to match ``x``
-    in shape and dtype, and which may be ``x``) or a new array like ``x``;
-    0-d input, a numpy scalar too, runs as a 1-element view."""
+    """``fn(x, out)``, into ``out`` (checked to match ``x`` in shape and
+    dtype, and which may be ``x``) or a new array like ``x``; 0-d input, a
+    numpy scalar too, runs as a 1-element view."""
     if out is None:
         out = np.empty_like(x)
     elif out.shape != x.shape or out.dtype != x.dtype:
         raise ShapeError(f"out {out.shape} {out.dtype} does not match "
                          f"input {x.shape} {x.dtype}")
-    x1, o1 = np.atleast_1d(x, out)
-    _over_batch(lambda lo, hi: fn(x1[lo:hi], o1[lo:hi]), len(x1))
+    fn(*np.atleast_1d(x, out))
     return out
 
 
@@ -331,7 +310,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
     # the iterator hands out matching blocks of x and out in memory order,
     # buffering only layouts it cannot walk in place; the scratch is
-    # allocated per call, because pool threads run this at the same time
+    # allocated per call, so concurrent callers never share it
     with np.nditer([x, out], flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"], ["writeonly"]], order="K",
                    buffersize=_GELU_BLOCK) as blocks:
@@ -401,15 +380,11 @@ def channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = np.empty(x.shape[:2], x.dtype)
     std = np.empty(x.shape[:2], x.dtype)
     hw = x.shape[2] * x.shape[3]
-
-    def part(lo, hi):
-        # the steps of np.var, reusing the mean: bitwise equal to x.var
-        x[lo:hi].mean(axis=(2, 3), out=mean[lo:hi])
-        d = x[lo:hi] - mean[lo:hi, :, None, None]
-        np.square(d, out=d)
-        np.sqrt(d.sum(axis=(2, 3)) / hw + EPS_STAT, out=std[lo:hi], dtype=x.dtype)
-
-    _over_batch(part, len(x))
+    # the steps of np.var, reusing the mean: bitwise equal to x.var
+    x.mean(axis=(2, 3), out=mean)
+    d = x - mean[:, :, None, None]
+    np.square(d, out=d)
+    np.sqrt(d.sum(axis=(2, 3)) / hw + EPS_STAT, out=std, dtype=x.dtype)
     return mean, std
 
 
@@ -432,151 +407,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-# ---------------------------------------------------------------------------
-# batch split
-# ---------------------------------------------------------------------------
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _Pool:
-    """Persistent daemon threads, started at the first split, that run the
-    ``(fn, lo, hi, done)`` slices ``_over_batch`` puts on one queue; each
-    slice puts what it raised, or None, on its own split's ``done`` queue.
-    A split of a no-op into two slices takes about 19 us, against 31 us
-    through a ``concurrent.futures`` executor (2-vCPU Xeon)."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-        self._forget_threads()
-
-    def submit(self, fn, lo: int, hi: int, done: queue.SimpleQueue) -> None:
-        # only ever called under _SPLIT_LOCK, so the threads start once
-        if not self._started:
-            for i in range(self.threads):
-                threading.Thread(target=self._work, name=f"patnet-{i}",
-                                 daemon=True).start()
-            self._started = True
-        self._slices.put((fn, lo, hi, done))
-
-    def _work(self) -> None:
-        while True:
-            # a call of its own per slice: no local of this loop keeps the
-            # last slice's closure, and the buffers it holds, alive
-            _run_slice(*self._slices.get())
-
-    def _forget_threads(self) -> None:
-        # a forked child has none of the parent's threads; start new ones
-        self._slices = queue.SimpleQueue()
-        self._started = False
-
-
-def _run_slice(fn, lo: int, hi: int, done: queue.SimpleQueue) -> None:
-    try:
-        fn(lo, hi)
-    except BaseException as exc:  # re-raised on the calling thread by _over_batch
-        done.put(exc)
-    else:
-        done.put(None)
-
-
-# One pool thread per CPU this process may run on, less the calling thread,
-# which runs the last slice itself.
-_THREADS = _cpu_count()
-_POOL = _Pool(_THREADS - 1) if _THREADS > 1 else None
-# one armed forward at a time: the BLAS thread count it pins is process-wide
-_SPLIT_LOCK = threading.Lock()
-_split_thread = None  # ident of the thread inside _split_batches, under _SPLIT_LOCK
-
-
-def _after_fork_in_child() -> None:
-    _SPLIT_LOCK.release()
-    if _POOL is not None:
-        _POOL._forget_threads()
-
-
-# A fork waits for an armed forward to end, so the child never inherits the
-# lock held by a thread it does not have, nor OpenBLAS pinned to one thread.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_SPLIT_LOCK.acquire,
-                        after_in_parent=_SPLIT_LOCK.release,
-                        after_in_child=_after_fork_in_child)
-
-
 @lru_cache(maxsize=1)
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy is linked
-    against, or None when it does not export the scipy-openblas calls."""
+    """The thread-count getter of the OpenBLAS numpy is linked against, or
+    None when it does not export the scipy-openblas call."""
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its dependencies are searched too
         get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-def _split_ready() -> bool:
-    return _POOL is not None and _openblas_threads() is not None
-
-
-@contextmanager
-def _split_batches(n: int):
-    """Within the block, kernels called from this thread split batches of
-    ``n`` >= 2 across the pool, and OpenBLAS runs on one thread; its prior
-    thread count comes back on exit, also when a kernel raised."""
-    if n < 2 or not _split_ready():
-        yield
-        return
-    global _split_thread
-    get, set_ = _openblas_threads()
-    with _SPLIT_LOCK:
-        prior = get()
-        set_(1)
-        _split_thread = threading.get_ident()
-        try:
-            yield
-        finally:
-            _split_thread = None
-            set_(prior)
-
-
-def _over_batch(fn, n: int) -> None:
-    """Run ``fn(lo, hi)`` over contiguous slices that cover ``range(n)``:
-    one per pool thread plus one, the last, on the calling thread when this
-    thread is inside ``_split_batches``; else ``fn(0, n)``. ``fn`` must run
-    only private helpers and raw numpy."""
-    if _split_thread != threading.get_ident():
-        fn(0, n)
-        return
-    k = min(n, _THREADS)
-    cuts = [n * i // k for i in range(k + 1)]
-    done = queue.SimpleQueue()
-    for i in range(k - 1):
-        _POOL.submit(fn, cuts[i], cuts[i + 1], done)
-    try:
-        fn(cuts[-2], n)
-    finally:
-        errors = [done.get() for _ in range(k - 1)]  # no slice may outlive the call
-    for error in errors:
-        if error is not None:
-            raise error
+    return get
 
 
 def thread_config() -> dict:
-    """The threads a forward runs on: ``engine_workers`` that batched
-    kernels split across, and the OpenBLAS threads in effect at batch 1
-    and at batch > 1 (None where OpenBLAS cannot be queried)."""
-    blas = _openblas_threads()
-    current = blas[0]() if blas else None
-    split = _split_ready()
-    return {"engine_workers": _THREADS if split else 1,
-            "blas_threads_batch1": current,
-            "blas_threads_batched": 1 if split else current}
+    """The threads a forward runs on: every kernel runs on the calling
+    thread, and ``blas_threads`` is the OpenBLAS thread count its GEMMs use
+    (None where OpenBLAS cannot be queried)."""
+    get = _openblas_threads()
+    return {"blas_threads": get() if get else None}

@@ -1,6 +1,8 @@
-"""The batch split: kernels of a batched forward run over batch slices on
-the engine's thread pool while OpenBLAS is pinned to one thread."""
+"""A forward runs on the calling thread: it starts no thread, leaves
+OpenBLAS's thread count alone, and keeps no state that concurrent callers
+or a fork must wait on."""
 
+import ctypes
 import hashlib
 import inspect
 import json
@@ -19,25 +21,37 @@ from patnet.config import build_ablation, build_variant
 from patnet.fusion import fuse_model
 from patnet.model import init_params, model_forward
 
-pytestmark = pytest.mark.skipif(
-    not tensor_ops._split_ready(),
-    reason="needs two CPUs and an OpenBLAS whose thread count can be set")
-
 SIZE = 64  # bitwise equality does not depend on the extent; keeps the runs short
 
 
-def blas_threads() -> int:
-    return tensor_ops._openblas_threads()[0]()
+def blas_threads() -> int | None:
+    get = tensor_ops._openblas_threads()
+    return get() if get else None
+
+
+def _openblas_setter():
+    try:
+        from numpy._core import _multiarray_umath
+        set_ = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return set_
 
 
 @pytest.fixture
 def blas_at_cpu_count():
-    """OpenBLAS set to one thread per CPU, not 1, for the duration of a test,
-    so that a count left pinned to 1 shows."""
-    get, set_ = tensor_ops._openblas_threads()
-    before = get()
-    set_(tensor_ops._THREADS)
-    yield tensor_ops._THREADS
+    """OpenBLAS set to one thread per CPU for the duration of a test, so
+    that its GEMMs run threaded and a count the forward changed shows."""
+    set_ = _openblas_setter()
+    cpus = os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    if set_ is None or blas_threads() is None or cpus < 2:
+        pytest.skip("needs two CPUs and an OpenBLAS whose thread count can be set")
+    before = blas_threads()
+    set_(cpus)
+    yield cpus
     set_(before)
 
 
@@ -63,73 +77,75 @@ def perturbed_store(spec, seed):
     return store
 
 
-class CountingPool:
-    """Delegates to the real pool and counts the slices it was given."""
-
-    def __init__(self, pool):
-        self.pool, self.submitted = pool, 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return self.pool.submit(fn, *args)
-
-
 MODELS = list(models())
 
 
 @pytest.mark.parametrize("name,spec", MODELS, ids=[name for name, _ in MODELS])
-def test_split_forward_is_bitwise_serial(monkeypatch, name, spec):
+def test_batched_rows_are_bitwise_their_batch_1_forward(name, spec):
+    # every variant and ablation, unfused and fused: an image's logits do
+    # not depend on the batch it is sent in
     store = perturbed_store(spec, seed=1)
     fused, _ = fuse_model(store, spec)
-    rng = np.random.default_rng(2)
-    counting = CountingPool(tensor_ops._POOL)
-    for batch in (2, 3, 8):
-        x = rng.standard_normal((batch, 3, SIZE, SIZE), dtype=np.float32)
-        for s in (store, fused):
-            monkeypatch.setattr(tensor_ops, "_POOL", counting)
-            before = counting.submitted
-            split = model_forward(spec, s, x)
-            assert counting.submitted > before  # the split did run
-            monkeypatch.setattr(tensor_ops, "_POOL", None)
-            serial = model_forward(spec, s, x)
-            assert split.tobytes() == serial.tobytes(), (name, batch, s.fused)
+    x = np.random.default_rng(2).standard_normal((8, 3, SIZE, SIZE), dtype=np.float32)
+    for s in (store, fused):
+        single = [model_forward(spec, s, x[i : i + 1]).tobytes() for i in range(8)]
+        for n in (2, 3, 8):
+            rows = model_forward(spec, s, x[:n])
+            assert [rows[i : i + 1].tobytes() for i in range(n)] == single[:n], (
+                name, n, s.fused)
 
 
-def test_blas_threads_restored_after_a_batched_forward(blas_at_cpu_count):
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("kernel", ["conv2d", "activation"])
+def test_a_kernel_error_reaches_the_caller_and_leaves_no_state(monkeypatch, blas_at_cpu_count,
+                                                               kernel, batch):
     spec = build_variant("T0", input_size=SIZE)
     store = init_params(spec, seed=0)
-    x = np.zeros((2, 3, SIZE, SIZE), np.float32)
-    prior = blas_threads()
-    assert prior == blas_at_cpu_count > 1
-    model_forward(spec, store, x)
-    assert blas_threads() == prior
-    model_forward(spec, store, x[:1])  # batch 1 never touches BLAS
-    assert blas_threads() == prior
-
-
-def test_blas_threads_restored_when_a_kernel_raises(monkeypatch, blas_at_cpu_count):
-    spec = build_variant("T0", input_size=SIZE)
-    store = init_params(spec, seed=0)
-    x = np.zeros((2, 3, SIZE, SIZE), np.float32)
-    model_forward(spec, store, x)  # build the plan first
-    prior, seen = blas_threads(), []
-    assert prior == blas_at_cpu_count > 1
+    x = np.random.default_rng(10).standard_normal((batch, 3, SIZE, SIZE), dtype=np.float32)
+    want = model_forward(spec, store, x)  # builds the plan too
+    before = threading.enumerate()
 
     def failing(*args):
-        seen.append(blas_threads())
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(tensor_ops, "activation", failing)
+    monkeypatch.setattr(tensor_ops, kernel, failing)
     with pytest.raises(RuntimeError, match="kernel failed"):
         model_forward(spec, store, x)
-    assert seen == [1]
-    assert blas_threads() == prior
-    assert tensor_ops._split_thread is None
+    monkeypatch.undo()
+    assert blas_threads() == blas_at_cpu_count
+    assert threading.enumerate() == before
+    assert model_forward(spec, store, x).tobytes() == want.tobytes()
+
+
+def test_a_batched_forward_starts_no_thread_and_leaves_blas_alone(monkeypatch,
+                                                                  blas_at_cpu_count):
+    spec = build_variant("T2", input_size=SIZE)
+    store, _ = fuse_model(perturbed_store(spec, seed=8), spec)
+    x = np.random.default_rng(9).standard_normal((8, 3, SIZE, SIZE), dtype=np.float32)
+    started, real_start = [], threading.Thread.start
+    inside, real_conv2d = [], tensor_ops.conv2d
+
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    def conv2d(*args):  # the BLAS thread count the forward's GEMMs run at
+        inside.append(blas_threads())
+        return real_conv2d(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
+    before = threading.enumerate()
+    for n in (1, 2, 8):
+        model_forward(spec, store, x[:n])
+        assert blas_threads() == blas_at_cpu_count
+    assert inside and set(inside) == {blas_at_cpu_count}
+    assert started == [] and threading.enumerate() == before
 
 
 def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
     # A per-layer tracer keeps one span stack for the calling thread, so no
-    # public kernel or block may run on a pool thread.
+    # public kernel or block may run on another thread.
     spec = build_variant("T2", input_size=SIZE)
     store, _ = fuse_model(perturbed_store(spec, seed=3), spec)
     x = np.random.default_rng(4).standard_normal((8, 3, SIZE, SIZE), dtype=np.float32)
@@ -153,19 +169,17 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
         for name, obj in list(vars(mod).items()):
             if inspect.isfunction(obj) and obj in wrappers:
                 monkeypatch.setattr(mod, name, wrappers[obj])
-    counting = CountingPool(tensor_ops._POOL)
-    monkeypatch.setattr(tensor_ops, "_POOL", counting)
 
     model_forward(spec, store, x)
     names = {name for name, _ in callers}
     assert {"conv2d", "relu", "channel_stats", "pat_ch_forward", "pat_sf_forward",
             "apply_spatial_gate"} <= names
-    assert counting.submitted > 0
     assert {ident for _, ident in callers} == {threading.get_ident()}
 
 
 def test_concurrent_batched_forwards_stay_correct(blas_at_cpu_count):
-    # more callers than cores, with frequent thread switches
+    # more callers than cores, with frequent thread switches, all running
+    # their forwards at once, each with threaded GEMMs
     spec = build_variant("T0", input_size=SIZE)
     store, _ = fuse_model(perturbed_store(spec, seed=5), spec)
     inputs = [np.random.default_rng(i).standard_normal((3, 3, SIZE, SIZE), dtype=np.float32)
@@ -206,15 +220,13 @@ def logits_digests(variant: str, batches) -> dict:
             for s in (store, fuse_model(store, spec)[0]) for n in batches}
 
 
-# A child process pinned to one CPU before it imports patnet has one engine
-# thread: no pool, no batch split, and chunks sized for one thread
+# A child process pinned to one CPU before it imports numpy, whose OpenBLAS
+# then runs its GEMMs on one thread
 _PINNED_CHILD = """
 import json, os, sys
 os.sched_setaffinity(0, [{cpu}])
 sys.path[:0] = [{src!r}, {tests!r}]
-from patnet import tensor_ops
 from test_batch_split import logits_digests
-assert tensor_ops._THREADS == 1
 print(json.dumps(logits_digests({variant!r}, {batches!r})))
 """
 
@@ -229,3 +241,70 @@ def test_logits_do_not_depend_on_the_cpu_count(variant, batches):
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            timeout=300, check=True)
     assert json.loads(child.stdout) == logits_digests(variant, batches)
+
+
+# A parent process loops batch-4 forwards on a second thread and forks while
+# that thread is inside a forward, held there until the fork is done. The
+# child, under a watchdog, reports OpenBLAS's thread count and its own
+# batched forward's digest
+_FORK_DURING_A_FORWARD = """
+import hashlib, json, os, signal, sys, threading
+sys.path[:0] = [{src!r}]
+import numpy as np
+from patnet import tensor_ops
+from patnet.config import build_variant
+from patnet.model import init_params, model_forward
+
+spec = build_variant("T0", input_size=64)
+store = init_params(spec, seed=0)
+x = np.random.default_rng(1).standard_normal((4, 3, 64, 64), dtype=np.float32)
+digest = lambda: hashlib.sha256(model_forward(spec, store, x).tobytes()).hexdigest()
+get_blas = tensor_ops._openblas_threads() or (lambda: None)
+want, blas = digest(), get_blas()
+inside, forked, stop = threading.Event(), threading.Event(), threading.Event()
+real_conv2d = tensor_ops.conv2d
+
+
+def conv2d(*args):
+    if not inside.is_set():  # the loop's first call waits here for the fork
+        inside.set()
+        forked.wait()
+    return real_conv2d(*args)
+
+
+def forwards():
+    while not stop.is_set():
+        digest()
+
+
+tensor_ops.conv2d = conv2d
+loop = threading.Thread(target=forwards)
+loop.start()
+inside.wait()
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a hung child dies of SIGALRM
+    report = {{"blas": get_blas(), "digest": digest()}}
+    os.write(w, json.dumps(report).encode())
+    os._exit(0)
+os.close(w)
+forked.set()
+stop.set()
+loop.join()
+with os.fdopen(r) as f:
+    child = f.read()
+print(json.dumps({{"status": os.waitpid(pid, 0)[1], "child": child,
+                   "blas": blas, "digest": want}}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_fork_during_a_batched_forward_leaves_a_working_child():
+    code = _FORK_DURING_A_FORWARD.format(src=str(Path(patnet.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    got = json.loads(run.stdout)
+    assert got["status"] == 0, got  # not killed by the watchdog
+    child = json.loads(got["child"])
+    assert child == {"blas": got["blas"], "digest": got["digest"]}

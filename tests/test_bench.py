@@ -35,13 +35,9 @@ class TestBenchRun:
     def test_reports_thread_configuration(self, t0):
         spec, store = t0
         r = bench_run(spec, store, batch=2, iters=2, warmup=0)
-        assert r.engine_workers >= 1
-        config = tensor_ops.thread_config()
-        assert (r.engine_workers, r.blas_threads_batch1, r.blas_threads_batched) == (
-            config["engine_workers"], config["blas_threads_batch1"],
-            config["blas_threads_batched"])
-        if r.engine_workers > 1:  # batched kernels split; BLAS pinned to one thread
-            assert r.blas_threads_batched == 1
+        assert tensor_ops.thread_config() == {"blas_threads": r.blas_threads}
+        if tensor_ops._openblas_threads() is not None:  # the count BLAS reports
+            assert r.blas_threads == tensor_ops._openblas_threads()() >= 1
 
     def test_small_variant_faster_than_large(self):
         t0_spec = build_variant("T0")

@@ -258,14 +258,13 @@ class TestBenchCommand:
         assert payload["variant"] == "T0"
         assert payload["images_per_sec"] > 0
         assert payload["p95_latency_ms"] >= payload["p50_latency_ms"] >= 0
-        assert payload["engine_workers"] >= 1
-        assert {"blas_threads_batch1", "blas_threads_batched"} <= payload.keys()
+        assert payload["blas_threads"] is None or payload["blas_threads"] >= 1
 
     def test_text_report(self, capsys):
         assert cli_dispatch(["bench", "--variant", "T0", "--batch", "1",
                              "--iters", "1", "--warmup", "0"]) == 0
         out = capsys.readouterr().out
-        assert "images/sec" in out and "engine worker" in out
+        assert "images/sec" in out and "1 engine thread; BLAS" in out
 
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-1"),
                                             ("--warmup", "-3")])

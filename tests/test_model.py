@@ -502,7 +502,7 @@ class TestPlan:
         # BN and activations overwrite their conv's output, stage 1 (a
         # 6.25 MiB hidden tensor over the 4 MiB budget) runs over two
         # 4-image chunks, and the 3x3 tap scratch exists per image: T2 fused
-        # at batch 8 and 160 x 160 peaks at 9.47 MiB (12.62 MiB with
+        # at batch 8 and 160 x 160 peaks at 7.09 MiB (12.62 MiB with
         # whole-batch MLPs, 22.0 MB when BN, the activation and the taps
         # each kept a second buffer)
         assert fused_forward_peak("T2", 8, 160) < 19 << 20
@@ -511,13 +511,12 @@ class TestPlan:
         # T0 fused at batch 8 and 160 x 160 peaks in a stage-1 MLP, at 40 x 40:
         # the 32-channel shortcut, the 64-channel hidden tensor and the second
         # conv's 32-channel output, 6.25 MiB in float32, are live together.
-        # GELU adds two scratch blocks per batch slice, and runs before the
-        # second conv allocates. Peaks on 2 CPUs: 14.07 MiB with three
-        # whole-tensor GELU buffers, 6.37 MiB with blocked GELU
+        # GELU adds two scratch blocks, and runs before the second conv
+        # allocates. Peaks: 14.07 MiB with three whole-tensor GELU buffers,
+        # 6.33 MiB with blocked GELU
         peak = fused_forward_peak("T0", 8, 160)
         activation = 8 * 32 * 40 * 40 * 4
-        slices = min(8, tensor_ops._THREADS) if tensor_ops._split_ready() else 1
-        assert peak < 4 * activation + slices * 2 * 4 * tensor_ops._GELU_BLOCK
+        assert peak < 4 * activation + 2 * 4 * tensor_ops._GELU_BLOCK
 
     def test_mlp_input_is_freed_before_its_second_conv(self, monkeypatch):
         # the runner holds no reference to the mixer output once the MLP has
@@ -547,13 +546,12 @@ class TestPlan:
         model_forward(spec, store, x)
         assert len(mixer_out) == 1 and dead == [True]
 
-    def test_large_mlps_run_over_chunks_of_at_least_the_thread_count(self, monkeypatch):
+    def test_large_mlps_run_over_the_chunks_the_budget_asks_for(self, monkeypatch):
         # T2 fused at batch 8 and 224 x 224: a stage-1 hidden tensor is
         # 8 x 128 x 56 x 56 float32, 12.25 MiB, and a stage-2 one 6.13 MiB,
-        # both over the 4 MiB budget, so stages 1 and 2 run over chunks of
-        # max(2, t, min(2t, 4)) images with t engine threads: the 2 the
-        # budget asks for, at least one per thread, and two per thread while
-        # the batch still makes two chunks. Stages 3 and 4 run whole
+        # both over the 4 MiB budget, so stages 1 and 2 run over
+        # ceil(12.25 / 4) = 4 chunks of 8 / 4 = 2 images. Stages 3 and 4 run
+        # whole
         spec = build_variant("T2")
         store, _ = fuse_model(init_params(spec, seed=0), spec)
         x = np.random.default_rng(0).standard_normal((8, 3, 224, 224), dtype=np.float32)
@@ -568,84 +566,72 @@ class TestPlan:
 
         monkeypatch.setattr(tensor_ops, "conv2d", conv2d)
         model_forward(spec, store, x)
-        threads = tensor_ops._THREADS
-        step = max(2, threads, min(2 * threads, 4))
-        chunks = [min(step, 8 - lo) for lo in range(0, 8, step)]
         by_stage = [[k for stage, k in seen if stage == f"stage{i}"] for i in range(1, 5)]
         # per chunk, the two blocks of stage 1, then the two of stage 2
-        assert by_stage[:2] == [[k for k in chunks for _ in range(2)]] * 2
+        assert by_stage[:2] == [[2] * 8] * 2
         assert by_stage[2:] == [[8] * 6, [8] * 4]
 
     def test_chunked_forward_holds_one_chunk_of_hidden_tensor(self):
         # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 and merge2
-        # over 4-image chunks and peaks at 13.12 MiB (13.88 MiB with the
-        # gathered buffer allocated after the first chunk, 15.41 MiB when
-        # the chunks ended before merge2), which a test below bounds tightly.
-        # The bound here is that of
-        # chunking only the MLPs, by ``step`` images each (16.87 MiB with
-        # 2-image chunks): the shortcut and the MLP input of the whole batch,
-        # and one chunk's hidden tensor and 65-channel second conv output.
-        # With whole-batch MLPs the forward peaks at 24.6 MiB
-        step = max(2, tensor_ops._THREADS)
-        live = 4 * 56 * 56 * (2 * 8 * 64 + step * (128 + 65))
+        # over 2-image chunks and peaks at 7.32 MiB (13.12 MiB over 4-image
+        # chunks), which a test below bounds tightly. The bound here is that
+        # of chunking only the MLPs, by 2 images each (16.87 MiB): the
+        # shortcut and the MLP input of the whole batch, and one chunk's
+        # hidden tensor and 65-channel second conv output. With whole-batch
+        # MLPs the forward peaks at 24.6 MiB
+        live = 4 * 56 * 56 * (2 * 8 * 64 + 2 * (128 + 65))
         assert fused_forward_peak("T2", 8, 224) < live + (1 << 20)
 
-    def test_a_larger_batch_runs_more_chunks_not_larger_ones(self, monkeypatch):
-        # with two engine threads, T2 fused at batch 16 and 224 x 224 runs
-        # stages 1 to 3 and merge3 over four 4-image chunks and peaks at
-        # 13.50 MiB, one chunk's working set and three finished merge3
-        # outputs, under the batch-8 bound of the test above (13.88 MiB with
-        # the gathered buffer allocated after the first chunk, 15.41 MiB when
-        # the chunks ended before merge3, 31.46 MiB
-        # when only the MLPs ran over chunks, with the shortcut and the MLP
-        # input held for all 16 images)
-        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+    def test_a_larger_batch_runs_more_chunks_not_larger_ones(self):
+        # T2 fused at batch 16 and 224 x 224 runs stages 1 to 3 and merge3
+        # over 3-image chunks, the last one 1 image, and peaks at 13.39 MiB,
+        # under the batch-8 bound of the test above (13.50 MiB over four
+        # 4-image chunks, 31.46 MiB when only the MLPs ran over chunks, with
+        # the shortcut and the MLP input held for all 16 images)
         live = 4 * 56 * 56 * (2 * 8 * 64 + 2 * (128 + 65))
         assert fused_forward_peak("T2", 16, 224) < live + (1 << 20)
 
-    def test_the_chunked_prefix_is_gathered_after_its_merge(self, monkeypatch):
-        # with two engine threads, T2 fused at batch 8 and 224 x 224 runs
-        # stages 1 and 2 and merge2 over 4-image chunks, so the chunks are
-        # gathered at merge2's 256-channel 14 x 14 output, not at stage 2's
-        # 128-channel 28 x 28 one, twice its bytes, and only after the last
-        # chunk. It peaks at 13.12 MiB in the second chunk's stage-1 MLP,
-        # where the first chunk's merge2 output and the chunk's 64-channel
-        # shortcut, 128-channel hidden tensor and 65-channel conv2 output
-        # are live (13.88 MiB with the whole gathered buffer allocated after
-        # the first chunk, 15.41 MiB when the chunks ended before merge2)
-        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
-        chunk = 4 * 56 * 56 * 4 * (64 + 128 + 65)
-        finished = 4 * 256 * 14 * 14 * 4
-        assert fused_forward_peak("T2", 8, 224) < chunk + finished + (1 << 19)
+    def test_the_chunked_prefix_is_gathered_after_its_merge(self):
+        # T2 fused at batch 8 and 224 x 224 runs stages 1 and 2 and merge2
+        # over four 2-image chunks, so the chunks are gathered at merge2's
+        # 256-channel 14 x 14 output, not at stage 2's 128-channel 28 x 28
+        # one, twice its bytes, and only after the last chunk. It peaks at
+        # 7.32 MiB in the last chunk's stage-1 MLP, where the first three
+        # chunks' merge2 outputs and the chunk's 64-channel shortcut,
+        # 128-channel hidden tensor and 65-channel conv2 output are live.
+        # The whole gathered buffer allocated after the first chunk would
+        # add 0.38 MiB, over the margin (13.12 MiB over 4-image chunks,
+        # 13.88 MiB with that buffer, 15.41 MiB when the chunks ended before
+        # merge2)
+        chunk = 4 * 56 * 56 * 2 * (64 + 128 + 65)
+        finished = 3 * 2 * 256 * 14 * 14 * 4
+        assert fused_forward_peak("T2", 8, 224) < chunk + finished + (1 << 18)
 
-    def test_chunks_lower_the_peak_of_a_batch_of_three(self, monkeypatch):
-        # with two engine threads, T2 fused at batch 3 and 224 x 224 runs
-        # stage 1 as 2 + 1 images and peaks at 6.18 MiB, below the whole
-        # batch's 64-channel shortcut and MLP input and 128-channel hidden
-        # tensor, which a whole-batch MLP holds (9.24 MiB when only the MLPs
-        # ran over chunks, which at n = 3 saved nothing)
-        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+    def test_chunks_lower_the_peak_of_a_batch_of_three(self):
+        # T2 fused at batch 3 and 224 x 224 runs stage 1 as 2 + 1 images
+        # and peaks at 6.18 MiB, below the whole batch's 64-channel shortcut
+        # and MLP input and 128-channel hidden tensor, which a whole-batch
+        # MLP holds (9.24 MiB when only the MLPs ran over chunks, which at
+        # n = 3 saved nothing)
         assert fused_forward_peak("T2", 3, 224) < 3 * 56 * 56 * 4 * (64 + 64 + 128)
 
     @pytest.mark.parametrize("kind", ["float32", "float64", "strided"])
     @pytest.mark.parametrize("fused", [False, True])
     def test_every_op_may_run_over_chunks(self, rng, monkeypatch, fused, kind):
         # a 1-byte budget puts every MLP over it, so the whole plan, head
-        # included, runs over chunks of two images per engine thread, the
-        # last one short, each converted to float32 on its own; the logits
-        # are bitwise the whole batch's
+        # included, runs over one-image chunks, each converted to float32 on
+        # its own; the logits are bitwise the whole batch's
         spec = tiny_spec()
         store = perturbed(init_params(spec, seed=5), seed=5)
         if fused:
             store, _ = fuse_model(store, spec)
-        threads = tensor_ops._THREADS
-        x = rand_t4(rng, 4 * threads + 1, 3, 32, 32)
+        x = rand_t4(rng, 5, 3, 32, 32)
         whole = model_forward(spec, store, x)
         x = {"float32": x, "float64": x.astype(np.float64),
              "strided": np.repeat(x, 2, axis=3)[..., ::2]}[kind]
         monkeypatch.setattr(model_mod, "_CHUNK_BYTES", 1)
         ops = store.plan.ops
-        assert model_mod._prefix_chunks(ops, len(x), (32, 32)) == (len(ops), 2 * threads)
+        assert model_mod._prefix_chunks(ops, len(x), (32, 32)) == (len(ops), 1)
         assert model_forward(spec, store, x).tobytes() == whole.tobytes()
 
     def test_chunk_outputs_live_until_their_one_gather(self, rng, monkeypatch):
@@ -655,7 +641,7 @@ class TestPlan:
         # rest of the plan
         spec = tiny_spec()
         store = init_params(spec, seed=5)
-        x = rand_t4(rng, 4 * tensor_ops._THREADS + 1, 3, 32, 32)
+        x = rand_t4(rng, 3, 3, 32, 32)
         model_forward(spec, store, x)  # build the plan
         monkeypatch.setattr(model_mod, "_CHUNK_BYTES", 1)
         outputs, alive, real_run = [], [], model_mod._run
@@ -675,26 +661,33 @@ class TestPlan:
         assert outputs[3]() is y and y.shape == (len(x), NUM_CLASSES)
 
     # (the op the chunks end after, images per chunk) for T2 at 224 x 224,
-    # by batch and engine threads; None, n when the batch runs whole
+    # by batch; None, n when the batch runs whole
     PREFIX_RULE = {
-        2: {1: (None, 2), 2: (None, 2), 4: (None, 2)},
-        3: {1: ("merge1", 2), 2: ("merge1", 2), 4: (None, 3)},
-        8: {1: ("merge2", 2), 2: ("merge2", 4), 4: ("merge2", 4)},
-        16: {1: ("merge3", 3), 2: ("merge3", 4), 4: ("merge3", 8)},
+        1: (None, 1),
+        2: (None, 2),
+        3: ("merge1", 2),
+        4: ("merge1", 2),
+        5: ("merge1", 3),
+        6: ("merge2", 2),
+        8: ("merge2", 2),
+        10: ("merge2", 3),
+        11: ("merge3", 3),
+        16: ("merge3", 3),
+        21: ("head", 3),
+        32: ("head", 3),
     }
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n", list(PREFIX_RULE))
-    def test_prefix_chunk_rule(self, monkeypatch, n, threads):
+    def test_prefix_chunk_rule(self, n):
         # the widest hidden tensor is 1.53 MiB per image, at stage 1, so
-        # n = 2 fits the 4 MiB budget, n = 3 needs 2 chunks of it and n = 8
-        # needs 4. At n = 8 stage 2 (0.77 MiB per image) is over the budget
-        # too, and at n = 16 (7 chunks) stage 3 (0.38 MiB per image) is.
-        # Floors: one image per thread, and two per thread where the batch
-        # allows two such chunks
-        monkeypatch.setattr(tensor_ops, "_THREADS", threads)
+        # n = 2 fits the 4 MiB budget, n = 3 to 5 need 2 chunks of it (5
+        # images as 3 + 2), n = 6 needs 3 and n = 8 needs 4. From n = 6
+        # stage 2 (0.77 MiB per image) is over the budget too, from n = 11
+        # (5 chunks, so ceil(11 / 5) = 3 images each) stage 3 (0.38 MiB per
+        # image) is, and from n = 21 stage 4 (0.19 MiB per image) is, which
+        # no merge follows, so the head runs over the chunks too
         ops = plan_and_schema(build_variant("T2"), fused=True)[0].ops
-        end, step = self.PREFIX_RULE[n][threads]
+        end, step = self.PREFIX_RULE[n]
         k = 0 if end is None else [op.name for op in ops].index(end) + 1
         assert model_mod._prefix_chunks(ops, n, (224, 224)) == (k, step)
 
@@ -770,22 +763,19 @@ class TestBatchInvariance:
 
     # at 224 the pat_sf projections of a batch slice run as one GEMM; at 64
     # they run per image (see blocks._SMALL_GEMM_MACS)
-    @pytest.mark.parametrize("variant,size", [("T0", 224), ("T2", 224), ("T0", 64)])
-    def test_each_row_is_bitwise_its_batch_1_forward(self, monkeypatch, variant, size):
+    @pytest.mark.parametrize("variant,size", [("T0", 224), ("T2", 224), ("T0", 64),
+                                              ("T2", 64)])
+    def test_each_row_is_bitwise_its_batch_1_forward(self, variant, size):
         spec = build_variant(variant, input_size=size)
         store = perturbed(init_params(spec, seed=3), seed=3)
         fused, _ = fuse_model(store, spec)
         x = np.random.default_rng(4).standard_normal((8, 3, size, size), dtype=np.float32)
         for s in (store, fused):
             single = [model_forward(spec, s, x[i : i + 1]).tobytes() for i in range(8)]
-            for pool in ("armed", None):
-                if pool is None:
-                    monkeypatch.setattr(tensor_ops, "_POOL", None)
-                for n in (3, 8):
-                    rows = model_forward(spec, s, x[:n])
-                    assert [rows[i : i + 1].tobytes() for i in range(n)] == single[:n], (
-                        s.fused, pool, n)
-            monkeypatch.undo()
+            for n in (3, 8):
+                rows = model_forward(spec, s, x[:n])
+                assert [rows[i : i + 1].tobytes() for i in range(n)] == single[:n], (
+                    s.fused, n)
 
 
 class TestNonSquareExtents:

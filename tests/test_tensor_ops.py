@@ -1,19 +1,11 @@
-import json
 import math
-import os
-import subprocess
-import sys
-import time
 import tracemalloc
-import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import patnet
 from patnet import reference as ref
 from patnet import tensor_ops
 from patnet.tensor_ops import (
@@ -213,22 +205,16 @@ class TestInPlace:
         "activation-gelu": lambda x, out: activation(x, "gelu", out=out),
     }
 
-    @pytest.mark.parametrize("armed", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not tensor_ops._split_ready(), reason="the batch split cannot run here"))],
-        ids=["serial", "split"])
+    @pytest.mark.parametrize("batch", [1, 5], ids=["one-image", "five-images"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", list(KERNELS))
-    def test_out_is_x_bitwise_out_of_place(self, rng, kernel, dtype, armed):
+    def test_out_is_x_bitwise_out_of_place(self, rng, kernel, dtype, batch):
         fn = self.KERNELS[kernel]
-        x = (rng.standard_normal((5, 6, 7, 9)) * 3).astype(dtype)
+        x = (rng.standard_normal((batch, 6, 7, 9)) * 3).astype(dtype)
         x[0, 0, 0, :5] = [0.0, -0.0, 40.0, -40.0, 1e30]  # gelu's exp underflow and x^2 = inf
-        with tensor_ops._split_batches(len(x) if armed else 1):
-            assert (tensor_ops._split_thread is not None) == armed
-            expected = fn(x, None)
-            y = x.copy()
-            got = fn(y, y)
+        expected = fn(x, None)
+        y = x.copy()
+        got = fn(y, y)
         assert got is y and got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -257,36 +243,30 @@ class TestInPlace:
                     fn(x, out)
 
     B = tensor_ops._GELU_BLOCK
-    # each takes a C-contiguous (2, n) array and returns a copy of its values
-    # in a layout
+    # each takes a C-contiguous (rows, n) array and returns a copy of its
+    # values in a layout
     LAYOUTS = {
         "contiguous": lambda a: a.copy(),
         "transposed": lambda a: a.T.copy().T,
         "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
     }
 
-    @pytest.mark.parametrize("armed", [
-        False,
-        pytest.param(True, marks=pytest.mark.skipif(
-            not tensor_ops._split_ready(), reason="the batch split cannot run here"))],
-        ids=["serial", "split"])
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "two-rows"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
-    def test_gelu_blocks_keep_the_unblocked_bits(self, rng, n, layout, dtype, armed):
-        # serial runs walk 2n elements and split runs n per slice, so block
-        # boundaries fall inside rows, at their ends and past them
-        a = (rng.standard_normal((2, n)) * 4).astype(dtype)
+    def test_gelu_blocks_keep_the_unblocked_bits(self, rng, n, layout, dtype, rows):
+        # each call walks rows * n elements, so block boundaries fall inside
+        # rows, at their ends and past them
+        a = (rng.standard_normal((rows, n)) * 4).astype(dtype)
         special = [0.0, -0.0, 40.0, -40.0, 1e30]  # exp underflow and x^2 = inf
         k = min(len(special), a.size)
         a.reshape(-1)[:k] = special[:k]
         view = self.LAYOUTS[layout]
         expected = _gelu_unblocked(view(a))
         y = view(a)
-        with tensor_ops._split_batches(2 if armed else 1):
-            assert (tensor_ops._split_thread is not None) == armed
-            got = gelu(view(a))
-            assert gelu(y, y) is y
+        got = gelu(view(a))
+        assert gelu(y, y) is y
         assert got.dtype == dtype and got.strides == np.empty_like(view(a)).strides
         assert got.tobytes() == expected.tobytes()
         assert y.tobytes() == expected.tobytes()
@@ -421,85 +401,3 @@ class TestMatmul:
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
         with pytest.raises(ShapeError, match=r"inner dims disagree \(3 vs 5\)"):
             matmul(np.zeros((2, 1, 3), np.float32), np.zeros((2, 5, 6), np.float32))
-
-
-# A parent process loops batch-4 forwards on a second thread and forks while
-# one holds the split lock. The child, under a watchdog, reports OpenBLAS's
-# thread count and its own batched forward's digest
-_FORK_DURING_A_FORWARD = """
-import hashlib, json, os, signal, sys, threading
-sys.path[:0] = [{src!r}]
-import numpy as np
-from patnet import tensor_ops
-from patnet.config import build_variant
-from patnet.model import init_params, model_forward
-
-spec = build_variant("T0", input_size=64)
-store = init_params(spec, seed=0)
-x = np.random.default_rng(1).standard_normal((4, 3, 64, 64), dtype=np.float32)
-digest = lambda: hashlib.sha256(model_forward(spec, store, x).tobytes()).hexdigest()
-want, unpinned = digest(), tensor_ops._openblas_threads()[0]()
-stop = threading.Event()
-
-
-def forwards():
-    while not stop.is_set():
-        digest()
-
-
-loop = threading.Thread(target=forwards)
-loop.start()
-while not tensor_ops._SPLIT_LOCK.locked():
-    pass
-r, w = os.pipe()
-pid = os.fork()
-if pid == 0:
-    signal.alarm(20)  # a hung child dies of SIGALRM
-    report = {{"blas": tensor_ops._openblas_threads()[0](), "digest": digest()}}
-    os.write(w, json.dumps(report).encode())
-    os._exit(0)
-os.close(w)
-stop.set()
-loop.join()
-with os.fdopen(r) as f:
-    child = f.read()
-print(json.dumps({{"status": os.waitpid(pid, 0)[1], "child": child,
-                   "blas": unpinned, "digest": want}}))
-"""
-
-
-@pytest.mark.skipif(not tensor_ops._split_ready(),
-                    reason="the batch split cannot run here")
-class TestSplitPool:
-    def test_no_slice_outlives_its_split(self):
-        # every slice closure holds the input; once the kernel returns, no
-        # pool thread may keep it alive until the next split
-        x = np.ones((2, 8, 16, 16), np.float32)
-        alive = weakref.ref(x)
-        with tensor_ops._split_batches(2):
-            relu(x)
-            del x
-            deadline = time.monotonic() + 1.0  # the worker may still be unwinding
-            while alive() is not None and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert alive() is None
-
-    def test_a_slice_error_is_raised_on_the_calling_thread(self):
-        def fail_first(lo, hi):
-            if lo == 0:
-                raise KeyError("slice 0")
-
-        with tensor_ops._split_batches(2):
-            with pytest.raises(KeyError, match="slice 0"):
-                tensor_ops._over_batch(fail_first, 2)
-            assert relu(np.full((2, 3), -1.0)).tobytes() == np.zeros((2, 3)).tobytes()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-    def test_a_fork_during_a_batched_forward_leaves_a_working_child(self):
-        code = _FORK_DURING_A_FORWARD.format(src=str(Path(patnet.__file__).parents[1]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=120, check=True)
-        got = json.loads(run.stdout)
-        assert got["status"] == 0, got  # not killed by the watchdog
-        child = json.loads(got["child"])
-        assert child == {"blas": got["blas"], "digest": got["digest"]}
